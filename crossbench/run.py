@@ -2,13 +2,13 @@
 
 Run from the repository root:
 
-    python3 crossbench/run.py --workload crossval-std --seed 1 --seconds 30 --trace 0
+    python3 crossbench/run.py --workload crossval-std --seed 1 --seconds 40 --trace 0
 
 One process, one Python thread, closed loop: each pass runs the workload's
 op list once, and every op's output is checked against an independent
-reference.  ``--trace 0`` prints the end-to-end metrics (setup_s, pass_s,
-peak_rss_mb); ``--trace 1`` alternates untraced and traced passes and prints
-the per-layer metrics.  The last line of stdout is one JSON object with
+reference.  One untimed warm-up pass runs first.  ``--trace 0`` prints the
+end-to-end metrics (setup_s, pass_s, peak_rss_mb); ``--trace 1`` alternates
+untraced and traced passes and prints the per-layer metrics.  The last line of stdout is one JSON object with
 ``correct``, ``attempted``, ``failed`` and ``metrics``.  Results and span
 dumps go to crossbench/results/.
 """
@@ -28,6 +28,7 @@ from pathlib import Path
 
 IMPORT_RUNS = 3     # timed fresh interpreters, after one discarded warm-up
 MIN_PASSES = 3      # per measured series, whatever --seconds says
+WARMUP_PASSES = 1   # checked and counted, not timed: lazy imports and caches fill
 CHILD = (
     "import sys, time\n"
     "sys.stderr.write('crossbench: import starts\\n'); sys.stderr.flush()\n"
@@ -92,13 +93,14 @@ def run_pass(ops, pass_no, tracer, failures) -> int:
 
 
 def measure(ops, seconds, tracer=None):
-    """Passes until --seconds would be overrun (at least MIN_PASSES per series).
+    """Warm-up, then passes until --seconds would be overrun (at least
+    MIN_PASSES per series).
 
-    With a tracer, passes alternate untraced (even) and traced (odd).
+    With a tracer, timed passes alternate untraced (even) and traced (odd).
     Returns the untraced and traced pass times, failed ops and failures.
     """
     plain, traced, failures = [], [], {}
-    failed = 0
+    failed = sum(run_pass(ops, None, None, failures) for _ in range(WARMUP_PASSES))
     start = time.perf_counter()
     while True:
         pass_no = len(plain) + len(traced)
@@ -126,7 +128,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True,
                         choices=("crossval-std", "heavy-traffic", "point-eval"))
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
@@ -150,7 +152,7 @@ def main(argv=None) -> int:
         with tracer.installed():
             ops, build_s = workloads.build(args.workload, args.seed)
     plain, traced, failed, failures = measure(ops, args.seconds, tracer)
-    attempted = len(ops) * (len(plain) + len(traced))
+    attempted = len(ops) * (WARMUP_PASSES + len(plain) + len(traced))
 
     if tracer is None:
         metrics = {
@@ -179,8 +181,9 @@ def main(argv=None) -> int:
         {**result, "workload": args.workload, "seed": args.seed, "passes": plain + traced,
          "failures": {op: why for op, (why, _) in failures.items()}}, indent=2) + "\n")
 
-    print(f"workload {args.workload} seed {args.seed}: {len(plain) + len(traced)} passes "
-          f"of {len(ops)} ops; attempted {attempted}, failed {failed}")
+    print(f"workload {args.workload} seed {args.seed}: {WARMUP_PASSES} warm-up and "
+          f"{len(plain) + len(traced)} timed passes of {len(ops)} ops; "
+          f"attempted {attempted}, failed {failed}")
     for op, (why, known) in sorted(failures.items()):
         print(f"  failed op {op}: {why}" + (f" [known fault: {known}]" if known else ""))
     for name, m in metrics.items():

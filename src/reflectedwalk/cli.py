@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -33,6 +34,9 @@ from . import contour, dist as dist_mod, kernel, oracle, series
 
 DEFAULT_METHODS = ("dp",)
 ALL_METHODS = ("dp", "spitzer", "product", "pollaczek")
+# unit-circle points for the functional-equation check: |z^-s| = 1 there,
+# so the check does not amplify roundoff
+FUNCTIONAL_Z_GRID = np.exp(1j * np.array([0.0, 1.0, 2.0, np.pi]))
 
 
 class ConfigError(ValueError):
@@ -77,10 +81,13 @@ class PairResult:
 
 @dataclass
 class CheckResult:
+    """One structural check; a skipped check carries its reason and never passes."""
+
     name: str
     residual: float
     tolerance: float
     passed: bool
+    skipped: str | None = None
 
 
 @dataclass
@@ -91,7 +98,8 @@ class AgreementReport:
 
     @property
     def all_passed(self) -> bool:
-        return all(p.passed for p in self.pairs) and all(c.passed for c in self.checks)
+        ran = [c for c in self.checks if c.skipped is None]
+        return all(p.passed for p in self.pairs) and all(c.passed for c in ran)
 
 
 @dataclass
@@ -227,28 +235,22 @@ def _next_pow2(n: int) -> int:
 def _invert_transform(evaluator, d, cfg: RunConfig) -> oracle.DistributionTable:
     """Recover P(M_n = m) by Cauchy extraction in u then in z.
 
-    evaluator(u, z_nodes) returns F(u, z) on the z grid for one u node.
-    The z circle has radius 1 with enough nodes to cover the full support
-    of M_{n_max}, so the z inversion is alias-free; the u circle's aliasing
-    is bounded by u_radius^{n_nodes} / (1 - u_radius).
+    evaluator(u, z_nodes) returns F(u, z) at z_nodes, the nz-th roots of
+    unity in order, for one u node.  nz exceeds both the full support of
+    M_{n_max} and m_max, so the z inversion is alias-free; the u circle's
+    aliasing is bounded by u_radius^{n_nodes} / (1 - u_radius).  Both
+    extractions are one 2-D FFT, the u axis rescaled by u_radius^{-n}.
     """
     n_max, m_max = cfg.n_max, cfg.m_max
     nu = _next_pow2(max(2 * (n_max + 1), 64))
-    full_support = n_max * d.support_growth
-    nz = _next_pow2(full_support + 1)
+    nz = _next_pow2(max(n_max * d.support_growth, m_max) + 1)
     r_u = cfg.u_radius
     u_nodes = r_u * np.exp(2j * np.pi * np.arange(nu) / nu)
     z_nodes = np.exp(2j * np.pi * np.arange(nz) / nz)
-    samples = np.empty((nu, nz), dtype=complex)
-    for i, u in enumerate(u_nodes):
-        samples[i] = evaluator(u, z_nodes)
-    # coefficient of u^n: (1/nu) sum_i F(u_i, z) u_i^{-n}
-    n_idx = np.arange(n_max + 1)
-    u_inv = (u_nodes[None, :] ** (-n_idx[:, None])) / nu
-    pgfs = u_inv @ samples  # (n_max+1, nz) samples of E(z^{M_n})
-    m_idx = np.arange(m_max + 1)
-    z_inv = (z_nodes[None, :] ** (-m_idx[:, None])) / nz
-    probs = np.real(pgfs @ z_inv.T)
+    samples = np.array([evaluator(u, z_nodes) for u in u_nodes])
+    # [u^n z^m] F = r_u^-n / (nu nz) sum_ij F(u_i, z_j) exp(-2 pi i (in/nu + jm/nz))
+    coeffs = np.fft.fft2(samples)[: n_max + 1, : m_max + 1] / (nu * nz)
+    probs = np.real(coeffs) * (r_u ** -np.arange(n_max + 1))[:, None]
     return oracle.DistributionTable(
         probs=probs,
         method="",
@@ -289,7 +291,7 @@ def _compute_tables(d, cfg: RunConfig, methods) -> dict:
         quad = contour.CircleQuadrature()
 
         def pollaczek_evaluator(u, z_nodes):
-            return contour.pollaczek_eval(d, u, z_nodes, cert, quad)
+            return contour.pollaczek_unit_grid(d, u, len(z_nodes), cert, quad)
 
         t = _invert_transform(pollaczek_evaluator, d, cfg)
         tables["pollaczek"] = oracle.DistributionTable(
@@ -323,14 +325,11 @@ def _compare_tables(tables: dict, methods, tol: float) -> list:
 
 def _structural_checks(d, cfg: RunConfig, dp_table) -> list:
     checks = []
-    # one-step functional equation on a small (n, z) grid of complete rows
-    res = 0.0
-    z_grid = (0.3, 0.7, 1.0)
-    for n in range(dp_table.n_max):
-        if not (dp_table.complete_rows[n] and dp_table.complete_rows[n + 1]):
-            break
-        for z in z_grid:
-            res = max(res, oracle.functional_equation_check(d, dp_table, n, z))
+    # one-step functional equation at every complete row pair, on |z| = 1
+    complete = dp_table.complete_rows
+    rows = np.flatnonzero(complete[:-1] & complete[1:])
+    res = oracle.functional_equation_check(d, dp_table, rows, FUNCTIONAL_Z_GRID)
+    res = float(np.max(res, initial=0.0))
     checks.append(
         CheckResult("functional-equation", res, cfg.tol_functional, res <= cfg.tol_functional)
     )
@@ -342,15 +341,24 @@ def _structural_checks(d, cfg: RunConfig, dp_table) -> list:
     checks.append(
         CheckResult("numerator", res, cfg.tol_numerator, res <= cfg.tol_numerator)
     )
-    # Cauchy coefficient identity on a small (l, k) grid
-    cert = contour.choose_outer_radius(d, cfg.v)
-    quad = contour.CircleQuadrature()
-    res = 0.0
-    for l in (1, 2, 4):
-        for k in (1, 3):
-            integral, pmf = contour.verify_coeff_identity(d, l, k, cert, quad)
-            res = max(res, abs(integral - pmf))
-    checks.append(CheckResult("coefficient-identity", res, cfg.tol_coeff, res <= cfg.tol_coeff))
+    # Cauchy coefficient identity on a small (l, k) grid; a run without the
+    # contour method skips it when no outer radius is admissible
+    try:
+        cert = contour.choose_outer_radius(d, cfg.v)
+    except contour.RadiusSearchError as exc:
+        checks.append(
+            CheckResult("coefficient-identity", math.nan, cfg.tol_coeff, False, str(exc))
+        )
+    else:
+        quad = contour.CircleQuadrature()
+        res = 0.0
+        for l in (1, 2, 4):
+            for k in (1, 3):
+                integral, pmf = contour.verify_coeff_identity(d, l, k, cert, quad)
+                res = max(res, abs(integral - pmf))
+        checks.append(
+            CheckResult("coefficient-identity", res, cfg.tol_coeff, res <= cfg.tol_coeff)
+        )
     # logarithmic residue of the kernel at u = 0.5
     u = 0.5
     roots = kernel.find_kernel_roots(d, u)
@@ -439,9 +447,10 @@ def render_json(result: RunResult) -> str:
             "checks": [
                 {
                     "name": c.name,
-                    "residual": _format_float(c.residual),
+                    "residual": None if c.skipped else _format_float(c.residual),
                     "tolerance": _format_float(c.tolerance),
                     "passed": c.passed,
+                    "skipped": c.skipped,
                 }
                 for c in result.report.checks
             ],
@@ -461,6 +470,9 @@ def render_report_text(report: AgreementReport, verbose: bool = False) -> str:
             f"at (n, m) = {p.argmax_cell} (tol {p.tolerance:.1e})"
         )
     for c in report.checks:
+        if c.skipped:
+            lines.append(f"[SKIP] {c.name}: {c.skipped}")
+            continue
         status = "PASS" if c.passed else "FAIL"
         lines.append(
             f"[{status}] {c.name}: residual = {c.residual:.3e} (tol {c.tolerance:.1e})"

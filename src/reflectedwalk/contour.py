@@ -1,9 +1,18 @@
 """Circle-contour quadrature: Pollaczek integral and Cauchy coefficients.
 
-All integrals run over circles with the trapezoidal rule on a uniform
-angular grid, which converges geometrically for integrands analytic in an
-annulus around the contour.  Node counts are doubled until two successive
-estimates agree to tolerance.
+All integrals run over circles on a uniform angular grid (the trapezoidal
+rule, or equivalently the FFT), which converges geometrically for
+integrands analytic in an annulus around the contour.  Node counts are
+doubled until two successive estimates agree to tolerance.
+
+The Pollaczek exponent is the Wiener-Hopf plus part of
+L(w) = ln(1 - u A(w)/w^s) on |w| = b: with L = sum_k c_k w^k there,
+
+    E(z) = (1/2 pi i) oint (1-z)/((w-1)(w-z)) L(w) dw = sum_{k>=1} c_k (1 - z^k),
+
+because (1-z)/((w-1)(w-z)) = 1/(w-1) - 1/(w-z) and, for |z| < b,
+(1/2 pi i) oint L(w)/(w-z) dw = sum_{k>=0} c_k z^k.  One FFT of L gives
+every c_k at once.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ class RadiusSearchError(RuntimeError):
 
 @dataclass(frozen=True)
 class CircleQuadrature:
-    """Trapezoid-with-doubling settings for one circular contour."""
+    """Trapezoid/FFT-with-doubling settings for one circular contour."""
 
     radius: float = 1.0
     nodes: int = 256
@@ -42,6 +51,8 @@ class CircleQuadrature:
             raise ValueError("nodes must be a power of two >= 16")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.max_doublings < 1:
+            raise ValueError("max_doublings must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -85,26 +96,31 @@ def choose_outer_radius(
     best = int(np.argmin(ratios))
     if ratios[best] > 1.0 - MARGIN_SLACK:
         raise RadiusSearchError(
-            f"no admissible radius for v = {v}; best ratio {ratios[best]!r} "
-            f"at b = {grid[best]!r}"
+            f"no admissible radius for v = {v}; best ratio {float(ratios[best])!r} "
+            f"at b = {float(grid[best])!r}"
         )
     return RadiusCertificate(b=float(grid[best]), v=v, margin=float(ratios[best]))
 
 
-def _refine(evaluate, quad: CircleQuadrature):
-    """Run evaluate(nodes) with node doubling until two estimates agree."""
+def _refine(evaluate, quad: CircleQuadrature, gap):
+    """Run evaluate(nodes) with node doubling until gap(cur, prev) < tol."""
     nodes = quad.nodes
     prev = evaluate(nodes)
     for _ in range(quad.max_doublings):
         nodes *= 2
         cur = evaluate(nodes)
-        if np.max(np.abs(cur - prev)) < quad.tol:
+        last = gap(cur, prev)
+        if last < quad.tol:
             return cur
         prev = cur
     raise QuadratureError(
         f"no convergence after {quad.max_doublings} doublings "
-        f"(last two estimates {prev!r}, {cur!r})"
+        f"(last gap {last!r} at {nodes} nodes, tol {quad.tol!r})"
     )
+
+
+def _max_gap(cur, prev) -> float:
+    return float(np.max(np.abs(cur - prev)))
 
 
 def cauchy_coeff(f, n: int, r: float, quad: CircleQuadrature):
@@ -122,7 +138,42 @@ def cauchy_coeff(f, n: int, r: float, quad: CircleQuadrature):
         w = _circle(r, nodes)
         return complex(np.mean(np.asarray(f(w)) * w ** (-n)))
 
-    return _refine(estimate, quad)
+    return _refine(estimate, quad, _max_gap)
+
+
+def _plus_part(dist, u, cert, quad, rho: float) -> np.ndarray:
+    """Scaled plus-part coefficients a_k = c_k b^k, k < nodes / 2, a_0 = 0.
+
+    One FFT of L(w) = ln(1 - u A(w)/w^s) on |w| = b per node count; the
+    first half of the spectrum holds the nonnegative Laurent indices.  The
+    node count doubles until sum_k |Delta a_k| (b^-k + (rho/b)^k) < tol,
+    which bounds the change of E(z) = sum_k c_k (1 - z^k) at every |z| <= rho.
+    """
+    b = cert.b
+
+    def coeffs(nodes):
+        w = _circle(b, nodes)
+        log_arg = 1.0 - u * pgf_eval(dist, w) / w**dist.s
+        if np.any(log_arg.real <= 0.0):
+            raise QuadratureError(
+                "principal branch unsafe: Re(1 - u A(w)/w^s) <= 0 on the contour"
+            )
+        a = np.fft.fft(np.log(log_arg))[: nodes // 2] / nodes
+        a[0] = 0.0
+        return a
+
+    def gap(cur, prev):
+        diff = cur.copy()
+        diff[: len(prev)] -= prev
+        k = np.arange(len(cur))
+        return float(np.sum(np.abs(diff) * (b ** -k + (rho / b) ** k)))
+
+    return _refine(coeffs, quad, gap)
+
+
+def _check_u(u, cert: RadiusCertificate):
+    if abs(u) > cert.v * (1.0 + 1e-12):
+        raise ValueError(f"|u| = {abs(u)} exceeds the certificate cap v = {cert.v}")
 
 
 def pollaczek_eval(
@@ -132,40 +183,48 @@ def pollaczek_eval(
     cert: RadiusCertificate,
     quad: CircleQuadrature,
 ):
-    """F(u, z) from the Pollaczek contour integral; z scalar or array.
+    """F(u, z) = exp(E(z)) / (1 - u) by the Pollaczek integral; z scalar or array.
 
-    F = exp((1/2 pi i) oint_{|w|=b} (1-z)/((w-1)(w-z)) ln(1 - u A(w)/w^s) dw)
-        / (1 - u).
-
-    The prefactor is -d/dw ln((z-w)/(1-w)); the minus comes from moving the
-    derivative off the logarithm by parts on the closed contour.  At z = 1
-    the prefactor kills the integrand, so 1/(1-u) is returned directly
-    rather than quadrature being attempted near the w = 1 pole.
+    E(z) = sum_{k>=1} c_k (1 - z^k), the c_k being the Laurent coefficients
+    of L(w) = ln(1 - u A(w)/w^s) on |w| = b (module docstring).
+    E(1) = 0 term by term, so F(u, 1) = 1/(1 - u) exactly and the w = 1 pole
+    never enters.  The sum runs as sum_k a_k (b^-k - (z/b)^k), a_k = c_k b^k,
+    with powers by cumulative products, so no power of |z| > 1 overflows.
     """
-    if abs(u) > cert.v * (1.0 + 1e-12):
-        raise ValueError(f"|u| = {abs(u)} exceeds the certificate cap v = {cert.v}")
+    _check_u(u, cert)
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
     if np.any(np.abs(z_arr) > cert.b - 1e-6):
         raise ValueError(f"|z| must be <= b - 1e-6 with b = {cert.b}")
-    at_one = z_arr == 1.0
-    base = np.full(z_arr.shape, 1.0 / (1.0 - u), dtype=complex)
-    if not np.all(at_one):
-        zs = z_arr[~at_one]
+    a = _plus_part(dist, u, cert, quad, rho=max(1.0, float(np.max(np.abs(z_arr)))))
+    k_max = len(a) - 1
+    inv_b = np.cumprod(np.full(k_max, 1.0 / cert.b))
+    ratios = np.broadcast_to((z_arr / cert.b)[:, None], (z_arr.size, k_max))
+    zs_b = np.cumprod(ratios, axis=1)
+    exponent = (inv_b - zs_b) @ a[1:]
+    values = np.exp(exponent) * (1.0 / (1.0 - u))
+    return values if np.ndim(z) else complex(values[0])
 
-        def estimate(nodes):
-            w = _circle(cert.b, nodes)
-            log_arg = 1.0 - u * pgf_eval(dist, w) / w**dist.s
-            if np.any(log_arg.real <= 0.0):
-                raise QuadratureError(
-                    "principal branch unsafe: Re(1 - u A(w)/w^s) <= 0 on the contour"
-                )
-            lw = np.log(log_arg)
-            frac = (1.0 - zs[:, None]) / ((w - 1.0) * (w - zs[:, None]))
-            return np.mean(frac * lw * w, axis=1)
 
-        exponent = _refine(estimate, quad)
-        base[~at_one] = np.exp(exponent) / (1.0 - u)
-    return base if np.ndim(z) else complex(base[0])
+def pollaczek_unit_grid(
+    dist: IncrementDistribution,
+    u: complex,
+    nz: int,
+    cert: RadiusCertificate,
+    quad: CircleQuadrature,
+) -> np.ndarray:
+    """F(u, w_j) at the nz-th roots of unity w_j = exp(2 pi i j / nz).
+
+    E(w_j) = sum_k c_k - sum_r C_r w_j^r with C_r = sum_{k = r mod nz} c_k,
+    so folding the c_k and one inverse FFT give every node at once; E(1) is
+    set to its exact value 0.
+    """
+    _check_u(u, cert)
+    a = _plus_part(dist, u, cert, quad, rho=1.0)
+    c = a * cert.b ** -np.arange(len(a))
+    folded = np.pad(c, (0, -len(c) % nz)).reshape(-1, nz).sum(axis=0)
+    exponent = c.sum() - nz * np.fft.ifft(folded)
+    exponent[0] = 0.0
+    return np.exp(exponent) * (1.0 / (1.0 - u))
 
 
 def verify_coeff_identity(

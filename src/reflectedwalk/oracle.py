@@ -107,30 +107,34 @@ def boundary_probs(dist: IncrementDistribution, table: DistributionTable):
 
 
 def functional_equation_check(
-    dist: IncrementDistribution, table: DistributionTable, n: int, z: complex
-) -> float:
-    """Residual of the one-step transform identity at row n.
+    dist: IncrementDistribution, table: DistributionTable, n, z
+):
+    """Residual of the one-step transform identity at rows n and points z.
 
     E(z^{M_{n+1}}) = E(z^{M_n}) A(z) z^{-s}
                      + sum_{r<s} P(M_n + A = r) (1 - z^{r-s}).
+
+    n and z are scalars or 1-D arrays.  Every row's pgf at every z comes
+    from one matrix product; the residuals return as a (len(n), len(z))
+    array, or a float when both are scalars.  Off |z| = 1 the z^{-s} factor
+    scales roundoff by |z|^{-s}, so a check should sample the unit circle.
     """
-    if z == 0:
+    ns = np.atleast_1d(np.asarray(n, dtype=int))
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    if np.any(zs == 0):
         raise ValueError("z must be nonzero")
-    if n + 1 > table.n_max:
-        raise ValueError("row n + 1 not present in the table")
-    if not (table.complete_rows[n] and table.complete_rows[n + 1]):
-        raise ValueError(f"rows {n} and {n + 1} must be complete")
+    if np.any(ns < 0) or np.any(ns + 1 > table.n_max):
+        raise ValueError("rows n and n + 1 must be present in the table")
+    if not np.all(table.complete_rows[ns] & table.complete_rows[ns + 1]):
+        raise ValueError(f"rows n and n + 1 must be complete (n = {n})")
     s = dist.s
-    a_z = np.polyval(dist.pmf_a[::-1], z)
-    lhs = row_pgf(table, n + 1, z)
-    rhs = row_pgf(table, n, z) * a_z * z ** (-s)
-    conv = np.convolve(table.probs[n][:s], dist.pmf_a[:s])
-    boundary = np.zeros(s)
-    take = min(s, len(conv))
-    boundary[:take] = conv[:take]
-    for r in range(s):
-        rhs += boundary[r] * (1.0 - z ** (r - s))
-    return float(abs(lhs - rhs))
+    pgfs = table.probs @ np.vander(zs, table.m_max + 1, increasing=True).T
+    a_z = np.vander(zs, len(dist.pmf_a), increasing=True) @ dist.pmf_a
+    boundary = boundary_probs(dist, table)[:, ns].T  # (len(n), s)
+    tail = 1.0 - zs[None, :] ** (np.arange(s)[:, None] - s)  # (s, len(z))
+    rhs = pgfs[ns] * (a_z * zs ** (-s)) + boundary @ tail
+    res = np.abs(pgfs[ns + 1] - rhs)
+    return float(res[0, 0]) if np.ndim(n) == 0 and np.ndim(z) == 0 else res
 
 
 def required_boundary_order(u: float, tol: float) -> int:

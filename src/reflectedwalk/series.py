@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import convolve as _sig_convolve
 
 # below this product size plain schoolbook convolution wins and is
 # bitwise-reproducible across truncation orders
@@ -81,11 +80,22 @@ def _check_caps(a: ZPolynomial, b: ZPolynomial):
         )
 
 
+def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two real sequences by real FFTs.
+
+    The transform length is the next power of two holding all
+    len(a) + len(b) - 1 outputs, so the circular product does not wrap.
+    """
+    n = len(a) + len(b) - 1
+    size = 1 << (n - 1).bit_length()
+    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
+
+
 def _mul_trunc(a: np.ndarray, b: np.ndarray, m_cap: int) -> np.ndarray:
     if len(a) * len(b) <= _FFT_CUTOFF:
         full = np.convolve(a, b)
     else:
-        full = _sig_convolve(a, b, method="fft")
+        full = _fft_convolve(a, b)
     return full[: m_cap + 1]
 
 

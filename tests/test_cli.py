@@ -90,6 +90,61 @@ class TestRun:
         assert dev.max() <= 1e-11
 
 
+def _poisson_config(lam, s, methods, n_max, m_max=None):
+    d = rw.make_family("poisson", s, lam=lam)
+    if m_max is None:
+        m_max = max(6, n_max * d.support_growth)
+    return cli.parse_config(
+        f"family = poisson\nlam = {lam}\ns = {s}\nmethods = {methods}\n"
+        f"n_max = {n_max}\nm_max = {m_max}\n"
+    )
+
+
+def _check(result, name):
+    return next(c for c in result.report.checks if c.name == name)
+
+
+class TestHeavyTraffic:
+    def test_z_grid_covers_m_max(self):
+        # m_max above n_max * support_growth: the z grid must still hold it
+        result = cli.run(_poisson_config(19.0, 20, "dp, product", 6, m_max=400))
+        assert result.report.all_passed
+        dev = np.abs(result.tables["product"].probs - result.tables["dp"].probs)
+        assert dev.max() <= 1e-9
+
+    @pytest.mark.parametrize("lam,s", [(45.0, 50), (19.0, 20)])
+    def test_functional_equation_near_heavy_traffic(self, lam, s):
+        # z^-s must not amplify roundoff: dp and spitzer agree, so must the check
+        result = cli.run(_poisson_config(lam, s, "dp, spitzer", 6))
+        check = _check(result, "functional-equation")
+        assert check.passed and check.residual <= 1e-13
+        assert result.report.all_passed
+
+    def test_contour_check_skipped_without_radius(self):
+        # positive drift: no admissible outer radius, and no contour method asked
+        cfg = _poisson_config(60.0, 50, "dp, spitzer", 6)
+        result = cli.run(cfg)
+        check = _check(result, "coefficient-identity")
+        assert check.skipped and "no admissible radius" in check.skipped
+        assert not check.passed
+        assert result.report.all_passed
+        assert all(c.passed for c in result.report.checks if c is not check)
+        assert "[SKIP] coefficient-identity" in cli.render_report_text(result.report)
+        payload = json.loads(cli.render_json(result))
+        entry = next(c for c in payload["report"]["checks"] if c["name"] == check.name)
+        assert entry["skipped"] == check.skipped and entry["passed"] is False
+        assert entry["residual"] is None
+
+    def test_pollaczek_without_radius_fails(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            "family = poisson\nlam = 60\ns = 50\nmethods = pollaczek\n"
+            "n_max = 1\nm_max = 6\n"
+        )
+        assert cli.main(["--config", str(path)]) == 2
+        assert "no admissible radius" in capsys.readouterr().err
+
+
 class TestRendering:
     def test_csv_shape(self):
         result = cli.run(cli.parse_config(SIMPLE_CONFIG))

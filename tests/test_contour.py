@@ -1,8 +1,21 @@
+import cmath
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import reflectedwalk as rw
-from reflectedwalk.contour import QuadratureError, RadiusSearchError, _circle
+from reflectedwalk.contour import (
+    QuadratureError,
+    RadiusSearchError,
+    _circle,
+    pollaczek_unit_grid,
+)
+
+from conftest import standard_distributions
+
+STANDARD = standard_distributions()
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +32,10 @@ class TestCircleQuadrature:
     def test_invalid_radius_rejected(self):
         with pytest.raises(ValueError):
             rw.CircleQuadrature(radius=0.0)
+
+    def test_no_doublings_rejected(self):
+        with pytest.raises(ValueError, match="max_doublings"):
+            rw.CircleQuadrature(max_doublings=0)
 
 
 class TestChooseOuterRadius:
@@ -143,6 +160,61 @@ class TestPollaczekEval:
             if e_n < 1e-11:
                 break
             assert e_2n <= max(10.0 * e_n**2, 1e-11)
+
+
+class TestPlusPart:
+    """The FFT plus-part route against independent values."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(sorted(STANDARD)),
+        st.floats(min_value=0.05, max_value=0.75),
+        st.floats(min_value=0.0, max_value=2 * np.pi),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=0.0, max_value=2 * np.pi),
+    )
+    def test_matches_product_representation(self, name, r_u, t_u, r_z, t_z):
+        d = STANDARD[name]
+        u, z = cmath.rect(r_u, t_u), cmath.rect(r_z, t_z)
+        roots = rw.find_kernel_roots(d, u)
+        # product_eval is a 0/0 ratio at a kernel root
+        assume(np.min(np.abs(z - roots.roots)) > 1e-3)
+        cert = rw.choose_outer_radius(d, 0.75)
+        pl = rw.pollaczek_eval(d, u, z, cert, rw.CircleQuadrature())
+        assert abs(pl - rw.product_eval(d, u, z, roots)) <= 1e-9
+
+    @pytest.mark.parametrize("nz", [16, 64, 512])
+    def test_unit_grid_matches_pointwise(self, dists, quad, nz):
+        z_nodes = np.exp(2j * np.pi * np.arange(nz) / nz)
+        for d in dists.values():
+            cert = rw.choose_outer_radius(d, 0.75)
+            for u in (0.3, -0.6, 0.5j, 0.7 * cmath.exp(1j)):
+                grid = pollaczek_unit_grid(d, u, nz, cert, quad)
+                point = rw.pollaczek_eval(d, u, z_nodes, cert, quad)
+                assert np.max(np.abs(grid - point)) <= 1e-13
+
+    def test_z_one_exact(self, dists, quad):
+        for d in dists.values():
+            cert = rw.choose_outer_radius(d, 0.75)
+            for u in (0.0, 0.3, -0.7, 0.5j, 0.6 * cmath.exp(2j)):
+                assert rw.pollaczek_eval(d, u, 1.0, cert, quad) == 1.0 / (1.0 - u)
+                grid = pollaczek_unit_grid(d, u, 32, cert, quad)
+                assert grid[0] == 1.0 / (1.0 - u)
+
+    def test_starved_grid_raises(self, simple):
+        cert = rw.choose_outer_radius(simple, 0.75)
+        starved = rw.CircleQuadrature(nodes=16, max_doublings=1, tol=1e-15)
+        with pytest.raises(QuadratureError, match="doubling"):
+            pollaczek_unit_grid(simple, 0.6, 64, cert, starved)
+
+    def test_outside_unit_disk(self, dists, quad):
+        # the c_k sum stays finite and accurate for 1 < |z| < b
+        d = dists["binomial"]
+        cert = rw.choose_outer_radius(d, 0.75)
+        z = 0.5 * (1.0 + cert.b)
+        roots = rw.find_kernel_roots(d, 0.4)
+        pl = rw.pollaczek_eval(d, 0.4, z, cert, quad)
+        assert abs(pl - rw.product_eval(d, 0.4, z, roots)) <= 1e-9
 
 
 class TestVerifyCoeffIdentity:

@@ -70,6 +70,26 @@ class TestFunctionalEquation:
             for z in (0.25, 0.9, 0.5 + 0.5j):
                 assert rw.functional_equation_check(d, t, n, z) <= 1e-11
 
+    def test_batched_matches_scalar(self, dists):
+        for d in dists.values():
+            t = rw.lindley_dp(d, 6, 6 * d.support_growth)
+            ns = np.arange(6)
+            zs = np.array([0.4, -0.8, 0.5 + 0.5j, np.exp(2j)])
+            batch = rw.functional_equation_check(d, t, ns, zs)
+            assert batch.shape == (6, 4)
+            for i, n in enumerate(ns):
+                for j, z in enumerate(zs):
+                    scalar = rw.functional_equation_check(d, t, int(n), complex(z))
+                    assert isinstance(scalar, float)
+                    assert abs(batch[i, j] - scalar) <= 1e-15
+
+    def test_unit_circle_is_well_conditioned(self):
+        # z = 0.3 would scale roundoff by 0.3^-50; |z| = 1 does not
+        d = rw.make_family("poisson", 50, lam=45.0)
+        t = rw.lindley_dp(d, 6, 6 * d.support_growth)
+        zs = np.exp(1j * np.array([0.0, 1.0, 2.0, np.pi]))
+        assert np.max(rw.functional_equation_check(d, t, np.arange(6), zs)) <= 1e-13
+
     def test_incomplete_rows_rejected(self, simple):
         t = rw.lindley_dp(simple, 10, 3)
         with pytest.raises(ValueError, match="complete"):

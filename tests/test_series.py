@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reflectedwalk as rw
-from reflectedwalk.series import useries, zpoly, zpoly_one, zpoly_zero
+from reflectedwalk.series import _fft_convolve, useries, zpoly, zpoly_one, zpoly_zero
 
 
 class TestPolyMul:
@@ -35,6 +35,28 @@ class TestPolyMul:
         small = rw.poly_mul(zpoly(a, 5), zpoly(b, 5))
         big = rw.poly_mul(zpoly(np.r_[a, np.zeros(5)], 10), zpoly(np.r_[b, np.zeros(5)], 10))
         np.testing.assert_array_equal(small.coeffs, big.coeffs[:6])
+
+
+class TestFftConvolve:
+    @pytest.mark.parametrize(
+        "la,lb", [(1, 1), (1, 700), (513, 512), (1501, 1501), (4097, 300)]
+    )
+    def test_matches_direct_convolution(self, la, lb):
+        rng = np.random.default_rng(la * 10_000 + lb)
+        a, b = rng.uniform(0, 1, la), rng.uniform(0, 1, lb)
+        got = _fft_convolve(a, b)
+        want = np.convolve(a, b)
+        assert got.shape == want.shape
+        # roundoff of an FFT product scales with the largest output
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want) * math.log2(la + lb)
+
+    def test_long_product_through_poly_mul(self):
+        # past the schoolbook cutoff poly_mul takes the FFT path
+        rng = np.random.default_rng(11)
+        a, b = rng.uniform(0, 1, 1501), rng.uniform(0, 1, 1501)
+        got = rw.poly_mul(zpoly(a, 1500), zpoly(b, 1500)).coeffs
+        want = np.convolve(a, b)[:1501]
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want) * 12
 
 
 class TestExpLog:

@@ -32,7 +32,6 @@ from .kernel import (
     root_logresidue_check,
 )
 from .oracle import (
-    BoundarySeries,
     DistributionTable,
     functional_equation_check,
     lindley_dp,
@@ -40,13 +39,10 @@ from .oracle import (
 )
 from .series import (
     USeries,
-    ZPolynomial,
     poly_mul,
     series_exp,
     series_log,
     spitzer_series,
-    useries,
-    zpoly,
 )
 
 __version__ = "0.1.0"
@@ -71,17 +67,13 @@ __all__ = [
     "find_kernel_roots",
     "product_eval",
     "root_logresidue_check",
-    "BoundarySeries",
     "DistributionTable",
     "functional_equation_check",
     "lindley_dp",
     "numerator_check",
     "USeries",
-    "ZPolynomial",
     "poly_mul",
     "series_exp",
     "series_log",
     "spitzer_series",
-    "useries",
-    "zpoly",
 ]

@@ -108,18 +108,81 @@ class RunResult:
     report: AgreementReport
 
 
-def _parse_bool(raw: str, lineno: int) -> bool:
+def _parse_bool(raw: str) -> bool:
     low = raw.lower()
     if low in ("true", "yes", "1"):
         return True
     if low in ("false", "no", "0"):
         return False
-    raise ConfigError(f"line {lineno}: expected a boolean, got {raw!r}")
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+def _typed(kind, noun):
+    """Caster by ``kind`` whose error names the expected type."""
+
+    def cast(raw: str):
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ValueError(f"not {noun}: {raw!r}") from None
+
+    return cast
+
+
+_int = _typed(int, "an integer")
+_float = _typed(float, "a number")
+
+
+def _parse_probs(raw: str) -> list:
+    return [_float(tok) for tok in raw.replace(",", " ").split()]
+
+
+def _parse_methods(raw: str) -> tuple:
+    """Comma-separated method names; the config key and --methods share it."""
+    methods = tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+    for m in methods:
+        if m not in ALL_METHODS:
+            raise ConfigError(f"unknown method {m!r}")
+    if not methods:
+        raise ConfigError("need at least one method")
+    return methods
+
+
+def _parse_format(raw: str) -> str:
+    if raw not in ("csv", "json"):
+        raise ValueError("format must be csv or json")
+    return raw
+
+
+# key -> (caster, target): "param" values are family parameters, "field"
+# values set the RunConfig field of the same name
+_KEYS = {
+    "family": (str, "field"),
+    "s": (_int, "field"),
+    "c": (_int, "param"),
+    "p": (_float, "param"),
+    "n": (_int, "param"),
+    "lam": (_float, "param"),
+    "probs": (_parse_probs, "param"),
+    **{
+        key: (_float, "field")
+        for key in (
+            "tail_tol", "u_radius", "v", "tolerance",
+            "tol_functional", "tol_numerator", "tol_coeff", "tol_logres",
+        )
+    },
+    "n_max": (_int, "field"),
+    "m_max": (_int, "field"),
+    "methods": (_parse_methods, "field"),
+    "format": (_parse_format, "field"),
+    "output": (str, "field"),
+    "verbose": (_parse_bool, "field"),
+}
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse the flat key-value grammar into a validated RunConfig."""
-    values: dict[str, tuple[str, int]] = {}
+    found = {"field": {}, "param": {}}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -127,87 +190,19 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key in values:
+        if key not in _KEYS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        caster, target = _KEYS[key]
+        if key in found[target]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = (raw, lineno)
-
-    def pop(key, default=None):
-        return values.pop(key, (default, None))
-
-    family, lineno = pop("family")
-    if family is None:
-        raise ConfigError("missing required key 'family'")
-    s_raw, lineno = pop("s")
-    if s_raw is None:
-        raise ConfigError("missing required key 's'")
-    try:
-        s = int(s_raw)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: field 's': not an integer: {s_raw!r}")
-
-    params = {}
-    for key, caster in (("c", int), ("p", float), ("n", int), ("lam", float)):
-        raw, lineno = pop(key)
-        if raw is not None:
-            try:
-                params[key] = caster(raw)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: field {key!r}: bad value {raw!r}")
-    raw, lineno = pop("probs")
-    if raw is not None:
         try:
-            params["probs"] = [float(tok) for tok in raw.replace(",", " ").split()]
-        except ValueError:
-            raise ConfigError(f"line {lineno}: field 'probs': bad value {raw!r}")
-
-    cfg = RunConfig(family=family, s=s, params=params)
-    float_keys = {
-        "tail_tol": "tail_tol",
-        "u_radius": "u_radius",
-        "v": "v",
-        "tolerance": "tolerance",
-        "tol_functional": "tol_functional",
-        "tol_numerator": "tol_numerator",
-        "tol_coeff": "tol_coeff",
-        "tol_logres": "tol_logres",
-    }
-    for key, attr in float_keys.items():
-        raw, lineno = pop(key)
-        if raw is not None:
-            try:
-                setattr(cfg, attr, float(raw))
-            except ValueError:
-                raise ConfigError(f"line {lineno}: field {key!r}: bad value {raw!r}")
-    for key in ("n_max", "m_max"):
-        raw, lineno = pop(key)
-        if raw is not None:
-            try:
-                setattr(cfg, key, int(raw))
-            except ValueError:
-                raise ConfigError(f"line {lineno}: field {key!r}: bad value {raw!r}")
-    raw, lineno = pop("methods")
-    if raw is not None:
-        methods = tuple(tok.strip() for tok in raw.split(",") if tok.strip())
-        for m in methods:
-            if m not in ALL_METHODS:
-                raise ConfigError(f"line {lineno}: unknown method {m!r}")
-        if not methods:
-            raise ConfigError(f"line {lineno}: field 'methods': need at least one")
-        cfg.methods = methods
-    raw, lineno = pop("format")
-    if raw is not None:
-        if raw not in ("csv", "json"):
-            raise ConfigError(f"line {lineno}: format must be csv or json")
-        cfg.format = raw
-    raw, lineno = pop("output")
-    if raw is not None:
-        cfg.output = raw
-    raw, lineno = pop("verbose")
-    if raw is not None:
-        cfg.verbose = _parse_bool(raw, lineno)
-    if values:
-        key, (_, lineno) = next(iter(values.items()))
-        raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            found[target][key] = caster(raw)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: field {key!r}: {exc}") from None
+    for key in ("family", "s"):
+        if key not in found["field"]:
+            raise ConfigError(f"missing required key {key!r}")
+    cfg = RunConfig(params=found["param"], **found["field"])
 
     if not 0 < cfg.tail_tol <= dist_mod.MAX_TAIL_TOL:
         raise ConfigError(
@@ -232,7 +227,17 @@ def _next_pow2(n: int) -> int:
     return p
 
 
-def _invert_transform(evaluator, d, cfg: RunConfig) -> oracle.DistributionTable:
+def _table(d, cfg: RunConfig, probs, method: str) -> oracle.DistributionTable:
+    """A transform method's table: no overflow counter, rows complete by support."""
+    return oracle.DistributionTable(
+        probs=probs,
+        method=method,
+        complete_rows=oracle.complete_row_flags(d, cfg.n_max, cfg.m_max),
+        overflow=np.zeros(cfg.n_max + 1),
+    )
+
+
+def _invert_transform(evaluator, d, cfg: RunConfig) -> np.ndarray:
     """Recover P(M_n = m) by Cauchy extraction in u then in z.
 
     evaluator(u, z_nodes) returns F(u, z) at z_nodes, the nz-th roots of
@@ -250,53 +255,34 @@ def _invert_transform(evaluator, d, cfg: RunConfig) -> oracle.DistributionTable:
     samples = np.array([evaluator(u, z_nodes) for u in u_nodes])
     # [u^n z^m] F = r_u^-n / (nu nz) sum_ij F(u_i, z_j) exp(-2 pi i (in/nu + jm/nz))
     coeffs = np.fft.fft2(samples)[: n_max + 1, : m_max + 1] / (nu * nz)
-    probs = np.real(coeffs) * (r_u ** -np.arange(n_max + 1))[:, None]
-    return oracle.DistributionTable(
-        probs=probs,
-        method="",
-        complete_rows=oracle.complete_row_flags(d, n_max, m_max),
-        overflow=np.zeros(n_max + 1),
-    )
+    return np.real(coeffs) * (r_u ** -np.arange(n_max + 1))[:, None]
 
 
-def _spitzer_table(d, cfg: RunConfig) -> oracle.DistributionTable:
-    f = series.spitzer_series(d, order_cap=max(cfg.n_max, 1), degree_cap=cfg.m_max)
-    probs = f.as_matrix()[: cfg.n_max + 1]
-    return oracle.DistributionTable(
-        probs=probs,
-        method="spitzer",
-        complete_rows=oracle.complete_row_flags(d, cfg.n_max, cfg.m_max),
-        overflow=np.zeros(cfg.n_max + 1),
-    )
-
-
-def _compute_tables(d, cfg: RunConfig, methods) -> dict:
+def _compute_tables(d, cfg: RunConfig, methods, cert) -> dict:
     tables = {}
     if "dp" in methods:
         tables["dp"] = oracle.lindley_dp(d, cfg.n_max, cfg.m_max)
     if "spitzer" in methods:
-        tables["spitzer"] = _spitzer_table(d, cfg)
+        f = series.spitzer_series(d, order_cap=max(cfg.n_max, 1), degree_cap=cfg.m_max)
+        tables["spitzer"] = _table(d, cfg, f.coeffs[: cfg.n_max + 1], "spitzer")
     if "product" in methods:
 
         def product_evaluator(u, z_nodes):
             roots = kernel.find_kernel_roots(d, u)
             return kernel.product_eval(d, u, z_nodes, roots)
 
-        t = _invert_transform(product_evaluator, d, cfg)
-        tables["product"] = oracle.DistributionTable(
-            t.probs, "product-inversion", t.complete_rows, t.overflow
-        )
+        probs = _invert_transform(product_evaluator, d, cfg)
+        tables["product"] = _table(d, cfg, probs, "product-inversion")
     if "pollaczek" in methods:
-        cert = contour.choose_outer_radius(d, cfg.v)
+        if isinstance(cert, contour.RadiusSearchError):
+            raise cert
         quad = contour.CircleQuadrature()
 
         def pollaczek_evaluator(u, z_nodes):
             return contour.pollaczek_unit_grid(d, u, len(z_nodes), cert, quad)
 
-        t = _invert_transform(pollaczek_evaluator, d, cfg)
-        tables["pollaczek"] = oracle.DistributionTable(
-            t.probs, "pollaczek-inversion", t.complete_rows, t.overflow
-        )
+        probs = _invert_transform(pollaczek_evaluator, d, cfg)
+        tables["pollaczek"] = _table(d, cfg, probs, "pollaczek-inversion")
     return tables
 
 
@@ -323,7 +309,7 @@ def _compare_tables(tables: dict, methods, tol: float) -> list:
     return pairs
 
 
-def _structural_checks(d, cfg: RunConfig, dp_table) -> list:
+def _structural_checks(d, cfg: RunConfig, dp_table, cert) -> list:
     checks = []
     # one-step functional equation at every complete row pair, on |z| = 1
     complete = dp_table.complete_rows
@@ -343,11 +329,9 @@ def _structural_checks(d, cfg: RunConfig, dp_table) -> list:
     )
     # Cauchy coefficient identity on a small (l, k) grid; a run without the
     # contour method skips it when no outer radius is admissible
-    try:
-        cert = contour.choose_outer_radius(d, cfg.v)
-    except contour.RadiusSearchError as exc:
+    if isinstance(cert, contour.RadiusSearchError):
         checks.append(
-            CheckResult("coefficient-identity", math.nan, cfg.tol_coeff, False, str(exc))
+            CheckResult("coefficient-identity", math.nan, cfg.tol_coeff, False, str(cert))
         )
     else:
         quad = contour.CircleQuadrature()
@@ -380,16 +364,23 @@ def run(config: RunConfig) -> RunResult:
     comparisons = len(methods) > 1 or any(m != "dp" for m in methods)
     if comparisons and "dp" not in methods:
         methods = ("dp",) + methods
-    tables = _compute_tables(d, config, methods)
-    pairs = _compare_tables(tables, methods, config.tolerance) if comparisons else []
-    checks = _structural_checks(d, config, tables["dp"]) if comparisons else []
-    cert_info = {}
-    if "pollaczek" in methods or comparisons:
+    # one radius search serves the pollaczek table, the coefficient-identity
+    # check and the report; a run without comparisons needs none
+    cert = None
+    if comparisons:
         try:
             cert = contour.choose_outer_radius(d, config.v)
-            cert_info = {"b": cert.b, "v": cert.v, "margin": cert.margin}
         except contour.RadiusSearchError as exc:
-            cert_info = {"error": str(exc)}
+            cert = exc
+    tables = _compute_tables(d, config, methods, cert)
+    pairs = _compare_tables(tables, methods, config.tolerance) if comparisons else []
+    checks = _structural_checks(d, config, tables["dp"], cert) if comparisons else []
+    if cert is None:
+        cert_info = {}
+    elif isinstance(cert, contour.RadiusSearchError):
+        cert_info = {"error": str(cert)}
+    else:
+        cert_info = {"b": cert.b, "v": cert.v, "margin": cert.margin}
     env = {
         "family": d.family,
         "s": d.s,
@@ -508,13 +499,12 @@ def main(argv=None) -> int:
         cfg.output = args.output
     if args.verbose:
         cfg.verbose = True
-    if args.methods:
-        methods = tuple(tok.strip() for tok in args.methods.split(",") if tok.strip())
-        for m in methods:
-            if m not in ALL_METHODS:
-                print(f"config error: unknown method {m!r}", file=sys.stderr)
-                return 2
-        cfg.methods = methods
+    if args.methods is not None:
+        try:
+            cfg.methods = _parse_methods(args.methods)
+        except ConfigError as exc:
+            print(f"config error: --methods: {exc}", file=sys.stderr)
+            return 2
 
     try:
         result = run(cfg)

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .series import ZPolynomial
 
 DEFAULT_TAIL_TOL = 1e-14
 MAX_TAIL_TOL = 1e-14
@@ -237,18 +235,18 @@ def walk_pmf(dist: IncrementDistribution, l: int) -> WalkPmf:
     return WalkPmf(l=l, offset=-dist.s * l, probs=probs)
 
 
-def positive_part_pgf(dist: IncrementDistribution, l: int, m_max: int) -> ZPolynomial:
-    """pgf of S_l^+ = max(S_l, 0), truncated to degree m_max."""
+def positive_part_pgf(dist: IncrementDistribution, l: int, m_max: int) -> np.ndarray:
+    """Coefficients of the pgf of S_l^+ = max(S_l, 0), truncated to degree m_max."""
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
-    return _positive_part_from_walk(walk_pmf(dist, l), m_max)
+    return positive_part_coeffs(walk_pmf(dist, l).probs, dist.s * l, m_max)
 
 
-def _positive_part_from_walk(walk: WalkPmf, m_max: int) -> ZPolynomial:
+def positive_part_coeffs(probs: np.ndarray, zero_index: int, m_max: int) -> np.ndarray:
+    """Degree-m_max pgf coefficients of S^+ where P(S = k) = probs[k + zero_index]."""
     coeffs = np.zeros(m_max + 1)
-    coeffs[0] = walk.prob_leq(0)
-    zero_idx = -walk.offset
-    pos = walk.probs[zero_idx + 1 :]
+    coeffs[0] = probs[: zero_index + 1].sum()
+    pos = probs[zero_index + 1 :]
     take = min(m_max, len(pos))
     coeffs[1 : 1 + take] = pos[:take]
-    return ZPolynomial(coeffs)
+    return coeffs

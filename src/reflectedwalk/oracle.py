@@ -8,7 +8,6 @@ completeness is decidable and conservation stays testable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,17 +43,6 @@ class DistributionTable:
     @property
     def m_max(self) -> int:
         return self.probs.shape[1] - 1
-
-
-@dataclass(frozen=True)
-class BoundarySeries:
-    """Coefficients over n of P(M_n + A_{n+1} = r) for one r < s."""
-
-    r: int
-    coeffs: np.ndarray
-
-    def eval_at(self, u: complex) -> complex:
-        return complex(np.polyval(self.coeffs[::-1], u))
 
 
 def complete_row_flags(dist: IncrementDistribution, n_max: int, m_max: int):

@@ -1,7 +1,11 @@
 import json
+from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import reflectedwalk as rw
 from reflectedwalk import cli
@@ -80,6 +84,19 @@ class TestRun:
         assert result.report.all_passed
         for pair in result.report.pairs:
             assert pair.max_deviation <= 1e-9
+
+    @pytest.mark.parametrize("methods,searches", [("dp", 0), ("dp, spitzer", 1),
+                                                  ("dp, spitzer, product, pollaczek", 1)])
+    def test_one_radius_search_per_run(self, monkeypatch, methods, searches):
+        calls = []
+        search = rw.contour.choose_outer_radius
+        monkeypatch.setattr(
+            rw.contour, "choose_outer_radius", lambda *a: calls.append(a) or search(*a)
+        )
+        cfg = cli.parse_config(SIMPLE_CONFIG.replace("dp, spitzer", methods))
+        result = cli.run(cfg)
+        assert len(calls) == searches
+        assert bool(result.report.environment["radius_certificate"]) == bool(searches)
 
     def test_inverted_table_matches_dp(self):
         cfg = cli.parse_config(SIMPLE_CONFIG.replace(
@@ -202,9 +219,74 @@ class TestMain:
     def test_missing_file_exit_two(self, tmp_path):
         assert cli.main(["--config", str(tmp_path / "none.cfg")]) == 2
 
+    @pytest.mark.parametrize("flag,match", [(",", "at least one"), ("dp,magic", "magic")])
+    def test_bad_methods_flag_exit_two(self, tmp_path, capsys, flag, match):
+        # the flag goes through the same parser as the config key
+        cfg_path = self._write(tmp_path, SIMPLE_CONFIG)
+        assert cli.main(["--config", cfg_path, "--methods", flag]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and match in err
+
+    def test_empty_methods_key_exit_two(self, tmp_path, capsys):
+        cfg_path = self._write(
+            tmp_path, SIMPLE_CONFIG.replace("methods = dp, spitzer", "methods = ,")
+        )
+        assert cli.main(["--config", cfg_path]) == 2
+        assert "at least one" in capsys.readouterr().err
+
     def test_failing_tolerance_nonzero_exit(self, tmp_path, capsys):
         # absurdly tight pairwise tolerance forces a FAIL flag
         cfg_path = self._write(
             tmp_path, SIMPLE_CONFIG + "tolerance = 1e-300\ntol_functional = 1e-300\n"
         )
         assert cli.main(["--config", cfg_path, "--output", str(tmp_path / "o.csv")]) == 1
+
+
+def _exact_dp(weights, s, n_max, m_max):
+    """P(M_n = m) in exact rationals from the reflected recursion."""
+    pmf = [Fraction(w, sum(weights)) for w in weights]
+    rows = [{0: Fraction(1)}]
+    for _ in range(n_max):
+        nxt = defaultdict(Fraction)
+        for m, pm in rows[-1].items():
+            for j, pj in enumerate(pmf):
+                nxt[max(m + j - s, 0)] += pm * pj
+        rows.append(nxt)
+    return np.array([[float(row.get(m, 0)) for m in range(m_max + 1)] for row in rows])
+
+
+@st.composite
+def _walk_laws(draw):
+    """Integer weights 0..20 over A in 0..6 (top weight >= 1), s, a drift sign."""
+    weights = draw(st.lists(st.integers(0, 20), max_size=6))
+    weights.append(draw(st.integers(1, 20)))
+    s = draw(st.integers(1, 3))
+    positive = draw(st.booleans())
+    mean = sum(j * w for j, w in enumerate(weights)) / sum(weights)
+    assume(mean > s if positive else mean < s)
+    return weights, s
+
+
+class TestRandomizedCrossCheck:
+    @pytest.mark.filterwarnings("ignore:P\\(A=0\\) = 0")
+    @settings(max_examples=30, deadline=None)
+    @given(_walk_laws())
+    def test_four_methods_agree_and_dp_is_exact(self, law):
+        weights, s = law
+        probs = [w / sum(weights) for w in weights]
+        d = rw.make_family("explicit", s, probs=probs)
+        methods = "dp, spitzer, product, pollaczek"
+        try:
+            rw.choose_outer_radius(d, 0.75)
+        except rw.RadiusSearchError:
+            methods = "dp, spitzer, product"
+        n_max = 4
+        m_max = n_max * d.support_growth
+        cfg = cli.parse_config(
+            "family = explicit\nprobs = " + " ".join(map(repr, probs))
+            + f"\ns = {s}\nmethods = {methods}\nn_max = {n_max}\nm_max = {m_max}\n"
+        )
+        result = cli.run(cfg)
+        assert result.report.all_passed, cli.render_report_text(result.report)
+        exact = _exact_dp(weights, s, n_max, m_max)
+        assert np.max(np.abs(result.tables["dp"].probs - exact)) <= 1e-14

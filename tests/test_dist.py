@@ -134,20 +134,21 @@ class TestWalkPmf:
 class TestPositivePartPgf:
     def test_one_step_simple(self, simple):
         poly = rw.positive_part_pgf(simple, 1, 3)
-        np.testing.assert_allclose(poly.coeffs, [0.5, 0.5, 0.0, 0.0])
+        assert isinstance(poly, np.ndarray)
+        np.testing.assert_allclose(poly, [0.5, 0.5, 0.0, 0.0])
 
     def test_two_steps_simple(self, simple):
         poly = rw.positive_part_pgf(simple, 2, 2)
-        np.testing.assert_allclose(poly.coeffs, [0.75, 0.0, 0.25])
+        np.testing.assert_allclose(poly, [0.75, 0.0, 0.25])
 
     def test_degenerate_is_one(self):
         d = rw.make_family("deterministic", 2, c=2)
         poly = rw.positive_part_pgf(d, 5, 4)
-        np.testing.assert_allclose(poly.coeffs, [1.0, 0.0, 0.0, 0.0, 0.0])
+        np.testing.assert_allclose(poly, [1.0, 0.0, 0.0, 0.0, 0.0])
 
     def test_full_support_sums_to_one(self, dists):
         for d in dists.values():
             for l in (1, 2, 5):
                 m_full = max(l * max(d.j_max - d.s, 0), 0)
                 poly = rw.positive_part_pgf(d, l, m_full)
-                assert poly(1.0) == pytest.approx(1.0, abs=1e-12)
+                assert poly.sum() == pytest.approx(1.0, abs=1e-12)

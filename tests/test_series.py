@@ -6,35 +6,50 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reflectedwalk as rw
-from reflectedwalk.series import _fft_convolve, useries, zpoly, zpoly_one, zpoly_zero
+from reflectedwalk.series import _fft_convolve
 
 
 class TestPolyMul:
     def test_identity(self):
-        one = zpoly_one(3)
-        p = zpoly([0.2, 0.3, 0.0, 0.5], 3)
-        assert rw.poly_mul(one, p).allclose(p, tol=0.0)
+        p = np.array([0.2, 0.3, 0.0, 0.5])
+        np.testing.assert_array_equal(rw.poly_mul([1.0], p, 3), p)
 
     def test_monomial_product(self):
-        z1 = zpoly([0, 1], 3)
-        z2 = zpoly([0, 0, 1], 3)
-        np.testing.assert_array_equal(rw.poly_mul(z1, z2).coeffs, [0, 0, 0, 1])
+        np.testing.assert_array_equal(rw.poly_mul([0, 1], [0, 0, 1], 3), [0, 0, 0, 1])
 
     def test_hand_expansion(self):
-        h = zpoly([0.5, 0.5], 2)
-        np.testing.assert_allclose(rw.poly_mul(h, h).coeffs, [0.25, 0.5, 0.25])
-
-    def test_mismatched_caps_rejected(self):
-        with pytest.raises(ValueError, match="degree_cap"):
-            rw.poly_mul(zpoly_one(2), zpoly_one(3))
+        h = np.array([0.5, 0.5])
+        np.testing.assert_allclose(rw.poly_mul(h, h, 2), [0.25, 0.5, 0.25])
 
     def test_truncation_is_prefix_exact(self):
         rng = np.random.default_rng(7)
         a = rng.uniform(0, 1, 6)
         b = rng.uniform(0, 1, 6)
-        small = rw.poly_mul(zpoly(a, 5), zpoly(b, 5))
-        big = rw.poly_mul(zpoly(np.r_[a, np.zeros(5)], 10), zpoly(np.r_[b, np.zeros(5)], 10))
-        np.testing.assert_array_equal(small.coeffs, big.coeffs[:6])
+        small = rw.poly_mul(a, b, 5)
+        big = rw.poly_mul(np.r_[a, np.zeros(5)], np.r_[b, np.zeros(5)], 10)
+        np.testing.assert_array_equal(small, big[:6])
+
+
+class TestUSeries:
+    def test_caps_come_from_the_array_shape(self):
+        f = rw.USeries(np.arange(12.0).reshape(3, 4))
+        assert (f.order_cap, f.degree_cap) == (2, 3)
+        np.testing.assert_array_equal(f[1], [4.0, 5.0, 6.0, 7.0])
+
+    def test_rows_are_read_only_and_as_matrix_copies(self):
+        mat = np.zeros((2, 2))
+        f = rw.USeries(mat)
+        mat[1, 1] = 5.0  # the series keeps its own copy
+        assert f[1][1] == 0.0
+        with pytest.raises(ValueError):
+            f[1][1] = 1.0
+        m = f.as_matrix()
+        m[0, 0] = 9.0
+        assert f[0][0] == 0.0
+
+    def test_non_matrix_rejected(self):
+        with pytest.raises(ValueError, match="2-D"):
+            rw.USeries(np.zeros(3))
 
 
 class TestFftConvolve:
@@ -54,50 +69,53 @@ class TestFftConvolve:
         # past the schoolbook cutoff poly_mul takes the FFT path
         rng = np.random.default_rng(11)
         a, b = rng.uniform(0, 1, 1501), rng.uniform(0, 1, 1501)
-        got = rw.poly_mul(zpoly(a, 1500), zpoly(b, 1500)).coeffs
+        got = rw.poly_mul(a, b, 1500)
         want = np.convolve(a, b)[:1501]
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want) * 12
 
 
 class TestExpLog:
     def test_exp_of_zero(self):
-        g = useries([zpoly_zero(2)] * 4)
-        f = rw.series_exp(g)
-        assert f[0].allclose(zpoly_one(2), tol=0.0)
+        f = rw.series_exp(rw.USeries(np.zeros((4, 3))))
+        np.testing.assert_array_equal(f[0], [1.0, 0.0, 0.0])
         for n in range(1, 4):
-            assert f[n].allclose(zpoly_zero(2), tol=0.0)
+            np.testing.assert_array_equal(f[n], np.zeros(3))
 
     def test_scalar_exponential(self):
         c = 0.7
-        polys = [zpoly_zero(0), zpoly([c], 0)] + [zpoly_zero(0)] * 4
-        f = rw.series_exp(useries(polys))
+        g = np.zeros((6, 1))
+        g[1, 0] = c
+        f = rw.series_exp(rw.USeries(g))
         for n in range(6):
-            assert f[n].coeffs[0] == pytest.approx(c**n / math.factorial(n))
+            assert f[n][0] == pytest.approx(c**n / math.factorial(n))
 
     def test_geometric_series(self):
         # g_l = 1/l for all l is -ln(1-u); exp gives all-ones coefficients
-        polys = [zpoly_zero(1)] + [zpoly([1.0 / l], 1) for l in range(1, 7)]
-        f = rw.series_exp(useries(polys))
+        g = np.zeros((7, 2))
+        g[1:, 0] = 1.0 / np.arange(1, 7)
+        f = rw.series_exp(rw.USeries(g))
         for n in range(7):
-            np.testing.assert_allclose(f[n].coeffs, [1.0, 0.0], atol=1e-13)
+            np.testing.assert_allclose(f[n], [1.0, 0.0], atol=1e-13)
 
     def test_log_of_one(self):
-        f = useries([zpoly_one(2)] + [zpoly_zero(2)] * 3)
-        g = rw.series_log(f)
+        one = np.zeros((4, 3))
+        one[0, 0] = 1.0
+        g = rw.series_log(rw.USeries(one))
         for n in range(4):
-            assert g[n].allclose(zpoly_zero(2), tol=0.0)
+            np.testing.assert_array_equal(g[n], np.zeros(3))
 
     def test_log_of_all_ones(self):
-        f = useries([zpoly_one(1)] * 7)
-        g = rw.series_log(f)
+        ones = np.zeros((7, 2))
+        ones[:, 0] = 1.0
+        g = rw.series_log(rw.USeries(ones))
         for l in range(1, 7):
-            np.testing.assert_allclose(g[l].coeffs, [1.0 / l, 0.0], atol=1e-13)
+            np.testing.assert_allclose(g[l], [1.0 / l, 0.0], atol=1e-13)
 
     def test_nonzero_constant_rejected(self):
         with pytest.raises(ValueError):
-            rw.series_exp(useries([zpoly_one(1), zpoly_zero(1)]))
+            rw.series_exp(rw.USeries([[1.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(ValueError):
-            rw.series_log(useries([zpoly_zero(1), zpoly_zero(1)]))
+            rw.series_log(rw.USeries(np.zeros((2, 2))))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -109,10 +127,9 @@ class TestExpLog:
         rng = np.random.default_rng(seed)
         mat = rng.uniform(0.0, 1.0, (order + 1, degree + 1))
         mat[0] = 0.0
-        g = useries([zpoly(row, degree) for row in mat])
+        g = rw.USeries(mat)
         back = rw.series_log(rw.series_exp(g))
-        for n in range(order + 1):
-            assert back[n].allclose(g[n], tol=1e-12)
+        assert np.max(np.abs(back.as_matrix() - mat)) <= 1e-12
 
 
 class TestSpitzerSeries:
@@ -120,19 +137,19 @@ class TestSpitzerSeries:
         d = rw.make_family("deterministic", 2, c=2)  # X identically 0
         f = rw.spitzer_series(d, 5, 3)
         for n in range(6):
-            np.testing.assert_allclose(f[n].coeffs, [1, 0, 0, 0], atol=1e-13)
+            np.testing.assert_allclose(f[n], [1, 0, 0, 0], atol=1e-13)
 
     def test_simple_walk_hand_values(self, simple):
         f = rw.spitzer_series(simple, 2, 2)
-        np.testing.assert_allclose(f[1].coeffs, [0.5, 0.5, 0.0], atol=1e-15)
-        np.testing.assert_allclose(f[2].coeffs, [0.5, 0.25, 0.25], atol=1e-15)
+        np.testing.assert_allclose(f[1], [0.5, 0.5, 0.0], atol=1e-15)
+        np.testing.assert_allclose(f[2], [0.5, 0.25, 0.25], atol=1e-15)
 
     def test_nonpositive_drift_bernoulli(self):
         # X in {-1, 0}: the reflected walk never leaves 0
         d = rw.make_family("bernoulli", 1, p=0.3)
         f = rw.spitzer_series(d, 6, 2)
         for n in range(7):
-            np.testing.assert_allclose(f[n].coeffs, [1, 0, 0], atol=1e-13)
+            np.testing.assert_allclose(f[n], [1, 0, 0], atol=1e-13)
 
     def test_bernoulli_closed_form_transform(self):
         # F(u, z) = (z - z0) / ((1 - z0)(z - u A(z))) with z0 = u(1-p)/(1-u p)
@@ -150,14 +167,14 @@ class TestSpitzerSeries:
             f_big = rw.spitzer_series(d, 6, 9)
             for n in range(7):
                 np.testing.assert_allclose(
-                    f_small[n].coeffs, f_big[n].coeffs[:5], atol=1e-13
+                    f_small[n], f_big[n][:5], atol=1e-13
                 )
 
     def test_coefficients_are_probabilities(self, dists):
         for d in dists.values():
             f = rw.spitzer_series(d, 8, 8)
             for n in range(9):
-                c = f[n].coeffs
+                c = f[n]
                 assert np.all(c >= -1e-12)
                 assert np.all(c <= 1.0 + 1e-12)
                 assert c.sum() <= 1.0 + 1e-11
@@ -168,7 +185,7 @@ class TestSpitzerSeries:
             m_full = n_cap * d.support_growth
             f = rw.spitzer_series(d, n_cap, max(m_full, 1))
             for n in range(n_cap + 1):
-                assert f[n](1.0) == pytest.approx(1.0, abs=1e-12)
+                assert f[n].sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_stochastic_tail_monotonicity(self, dists):
         for d in dists.values():

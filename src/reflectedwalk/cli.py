@@ -245,14 +245,22 @@ def _invert_transform(evaluator, d, cfg: RunConfig) -> np.ndarray:
     M_{n_max} and m_max, so the z inversion is alias-free; the u circle's
     aliasing is bounded by u_radius^{n_nodes} / (1 - u_radius).  Both
     extractions are one 2-D FFT, the u axis rescaled by u_radius^{-n}.
+
+    The law is real, so F(conj u, conj z) = conj F(u, z): the evaluator runs
+    only at the u nodes k = 0 .. nu/2, where Im u >= 0, and row nu - k is
+    conj(row k) read at z index (-j) mod nz, since conj u_k = u_{nu-k} and
+    conj z_j = z_{-j}.
     """
     n_max, m_max = cfg.n_max, cfg.m_max
     nu = _next_pow2(max(2 * (n_max + 1), 64))
     nz = _next_pow2(max(n_max * d.support_growth, m_max) + 1)
     r_u = cfg.u_radius
-    u_nodes = r_u * np.exp(2j * np.pi * np.arange(nu) / nu)
+    half = nu // 2
+    u_nodes = r_u * np.exp(2j * np.pi * np.arange(half + 1) / nu)
     z_nodes = np.exp(2j * np.pi * np.arange(nz) / nz)
-    samples = np.array([evaluator(u, z_nodes) for u in u_nodes])
+    samples = np.empty((nu, nz), dtype=complex)
+    samples[: half + 1] = [evaluator(u, z_nodes) for u in u_nodes]
+    samples[half + 1 :] = np.conj(samples[half - 1 : 0 : -1, -np.arange(nz)])
     # [u^n z^m] F = r_u^-n / (nu nz) sum_ij F(u_i, z_j) exp(-2 pi i (in/nu + jm/nz))
     coeffs = np.fft.fft2(samples)[: n_max + 1, : m_max + 1] / (nu * nz)
     return np.real(coeffs) * (r_u ** -np.arange(n_max + 1))[:, None]
@@ -319,11 +327,12 @@ def _structural_checks(d, cfg: RunConfig, dp_table, cert) -> list:
     checks.append(
         CheckResult("functional-equation", res, cfg.tol_functional, res <= cfg.tol_functional)
     )
-    # numerator polynomial annihilated by the kernel roots
-    res = 0.0
-    for u in (0.25, 0.5):
-        roots = kernel.find_kernel_roots(d, u)
-        res = max(res, oracle.numerator_check(d, u, roots, tol=cfg.tol_numerator))
+    # numerator polynomial annihilated by the kernel roots; the u = 0.5 roots
+    # also place the log-residue radii below
+    roots = {u: kernel.find_kernel_roots(d, u) for u in (0.25, 0.5)}
+    res = max(
+        oracle.numerator_check(d, u, rs, tol=cfg.tol_numerator) for u, rs in roots.items()
+    )
     checks.append(
         CheckResult("numerator", res, cfg.tol_numerator, res <= cfg.tol_numerator)
     )
@@ -344,11 +353,10 @@ def _structural_checks(d, cfg: RunConfig, dp_table, cert) -> list:
             CheckResult("coefficient-identity", res, cfg.tol_coeff, res <= cfg.tol_coeff)
         )
     # logarithmic residue of the kernel at u = 0.5
-    u = 0.5
-    roots = kernel.find_kernel_roots(d, u)
-    z = 0.5 * (roots.max_modulus + 1.0)
-    a = 0.5 * (roots.max_modulus + z)
-    if roots.max_modulus < a < z:
+    u, max_modulus = 0.5, roots[0.5].max_modulus
+    z = 0.5 * (max_modulus + 1.0)
+    a = 0.5 * (max_modulus + z)
+    if max_modulus < a < z:
         lhs, rhs = kernel.root_logresidue_check(d, u, z, a, nodes=2048)
         res = abs(lhs - rhs)
     else:  # pragma: no cover - radii always order for valid inputs
@@ -400,14 +408,14 @@ def _format_float(x: float) -> str:
 
 
 def render_csv(result: RunResult) -> str:
+    # repr of a row's Python floats is _format_float's text, without a numpy
+    # scalar per cell; the ",m,method," middle of each line is built once
     lines = ["n,m,method,probability"]
     for method in sorted(result.tables):
         table = result.tables[method]
-        for n in range(table.n_max + 1):
-            if not table.complete_rows[n]:
-                continue
-            for m in range(table.m_max + 1):
-                lines.append(f"{n},{m},{method},{_format_float(table.probs[n, m])}")
+        cols = [f",{m},{method}," for m in range(table.m_max + 1)]
+        for n in np.flatnonzero(table.complete_rows).tolist():
+            lines.extend([f"{n}{col}{p!r}" for col, p in zip(cols, table.probs[n].tolist())])
     return "\n".join(lines) + "\n"
 
 

@@ -5,8 +5,13 @@ the reflected-walk transform factors over them:
 
     F(u, z) = (1 / (z^s - u A(z))) * prod_k (z - z_k(u)) / (1 - z_k(u)).
 
-Roots are found globally via companion-matrix eigenvalues and polished by
-Newton steps that are only accepted when they reduce the residual.
+Roots are found globally via companion-matrix eigenvalues.  Only the
+eigenvalues with |z| < 1 + POLISH_BAND are polished, all at once, by Newton
+steps that each root accepts only while they reduce its residual.  The
+candidates farther out cannot be in-disk roots: they feed only the in-disk
+count, which must equal s, and are never returned, so their residuals need
+not be small.  A root that the count misses still raises KernelRootError,
+and every returned root still meets RESIDUAL_TOL.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from .dist import IncrementDistribution, pgf_deriv_eval, pgf_eval
 IN_DISK_TOL = 1e-12        # strict in-disk selection margin
 RESIDUAL_TOL = 1e-10       # hard cap on accepted root residuals
 POLISH_TARGET = 1e-12
+POLISH_BAND = 1e-3         # polish eigenvalues with |z| < 1 + POLISH_BAND
 CLUSTER_TOL = 1e-7
 
 
@@ -68,19 +74,29 @@ def kernel_deriv_eval(dist: IncrementDistribution, u: complex, w):
 
 
 def _polish(dist, u, z):
-    """Newton iterations, accepting only residual-decreasing steps."""
-    res = abs(kernel_eval(dist, u, z))
+    """Newton iterations on a 1-D array of roots, at most 50 steps each.
+
+    A root stops at POLISH_TARGET, where k'(z) = 0, or at its first step
+    that does not reduce its residual, which it rejects.  Returns the
+    polished roots and their residuals.
+    """
+    z = np.array(z, dtype=complex, ndmin=1)
+    kz = kernel_eval(dist, u, z)
+    res = np.abs(kz)
+    live = np.flatnonzero(res > POLISH_TARGET)
     for _ in range(50):
-        if res <= POLISH_TARGET:
+        if live.size == 0:
             break
-        fp = kernel_deriv_eval(dist, u, z)
-        if fp == 0:
-            break
-        cand = z - kernel_eval(dist, u, z) / fp
-        cand_res = abs(kernel_eval(dist, u, cand))
-        if cand_res >= res:
-            break
-        z, res = cand, cand_res
+        fp = kernel_deriv_eval(dist, u, z[live])
+        moving = fp != 0
+        live, fp = live[moving], fp[moving]
+        cand = z[live] - kz[live] / fp
+        k_cand = kernel_eval(dist, u, cand)
+        cand_res = np.abs(k_cand)
+        better = cand_res < res[live]
+        live = live[better]
+        z[live], kz[live], res[live] = cand[better], k_cand[better], cand_res[better]
+        live = live[res[live] > POLISH_TARGET]
     return z, res
 
 
@@ -110,22 +126,21 @@ def find_kernel_roots(dist: IncrementDistribution, u: complex) -> RootSet:
     if abs(u) >= 1:
         raise ValueError(f"|u| must be < 1, got {abs(u)!r}")
     coeffs = kernel_coeffs(dist, u)
-    all_roots = np.roots(coeffs[::-1])
-    polished = []
-    for z in all_roots:
-        z, res = _polish(dist, u, complex(z))
-        polished.append((z, res))
-    inside = [(z, res) for z, res in polished if abs(z) < 1.0 - IN_DISK_TOL]
-    if len(inside) != dist.s:
-        moduli = sorted(abs(z) for z, _ in polished)
+    cand = np.roots(coeffs[::-1]).astype(complex)
+    res = np.full(cand.shape, np.inf)
+    near = np.abs(cand) < 1.0 + POLISH_BAND
+    cand[near], res[near] = _polish(dist, u, cand[near])
+    inside = np.abs(cand) < 1.0 - IN_DISK_TOL
+    found = np.count_nonzero(inside)
+    if found != dist.s:
         raise KernelRootError(
-            f"expected {dist.s} in-disk roots, found {len(inside)} at u={u!r}; "
-            f"all root moduli: {moduli}"
+            f"expected {dist.s} in-disk roots, found {found} at u={u!r}; "
+            f"all root moduli: {sorted(np.abs(cand).tolist())}"
         )
+    roots, residuals = cand[inside], res[inside]
     # deterministic ordering: by real part, then imaginary part
-    inside.sort(key=lambda zr: (zr[0].real, zr[0].imag))
-    roots = np.array([z for z, _ in inside], dtype=complex)
-    residuals = np.array([res for _, res in inside])
+    order = np.lexsort((roots.imag, roots.real))
+    roots, residuals = roots[order], residuals[order]
     if np.any(residuals > RESIDUAL_TOL):
         raise KernelRootError(
             f"root residuals exceed {RESIDUAL_TOL}: {residuals.tolist()} at u={u!r}"

@@ -98,6 +98,18 @@ class TestRun:
         assert len(calls) == searches
         assert bool(result.report.environment["radius_certificate"]) == bool(searches)
 
+    def test_three_root_solves_in_the_structural_checks(self, monkeypatch):
+        # the numerator check's u = 0.5 roots also place the log-residue radii;
+        # root_logresidue_check keeps its own solve
+        calls = []
+        solve = rw.kernel.find_kernel_roots
+        monkeypatch.setattr(
+            rw.kernel, "find_kernel_roots", lambda *a: calls.append(a[1]) or solve(*a)
+        )
+        result = cli.run(cli.parse_config(SIMPLE_CONFIG))
+        assert result.report.all_passed
+        assert calls == [0.25, 0.5, 0.5]
+
     def test_inverted_table_matches_dp(self):
         cfg = cli.parse_config(SIMPLE_CONFIG.replace(
             "methods = dp, spitzer", "methods = product"
@@ -105,6 +117,50 @@ class TestRun:
         result = cli.run(cfg)
         dev = np.abs(result.tables["product"].probs - result.tables["dp"].probs)
         assert dev.max() <= 1e-11
+
+
+class TestHalfCircle:
+    """F(conj u, conj z) = conj F(u, z): half the u circle gives the table."""
+
+    # _invert_transform reads only the grid fields; each test passes its law
+    CFG = cli.RunConfig(family="", s=1, n_max=6, m_max=6)
+
+    @staticmethod
+    def _full_circle(evaluator, d, cfg):
+        # the reference: every u node evaluated, no symmetry used
+        nu = cli._next_pow2(max(2 * (cfg.n_max + 1), 64))
+        nz = cli._next_pow2(max(cfg.n_max * d.support_growth, cfg.m_max) + 1)
+        u_nodes = cfg.u_radius * np.exp(2j * np.pi * np.arange(nu) / nu)
+        z_nodes = np.exp(2j * np.pi * np.arange(nz) / nz)
+        samples = np.array([evaluator(u, z_nodes) for u in u_nodes])
+        coeffs = np.fft.fft2(samples)[: cfg.n_max + 1, : cfg.m_max + 1] / (nu * nz)
+        return np.real(coeffs) * (cfg.u_radius ** -np.arange(cfg.n_max + 1))[:, None]
+
+    @staticmethod
+    def _evaluators(d, cfg):
+        cert = rw.contour.choose_outer_radius(d, cfg.v)
+        quad = rw.contour.CircleQuadrature()
+        return {
+            "product": lambda u, z: rw.product_eval(d, u, z, rw.find_kernel_roots(d, u)),
+            "pollaczek": lambda u, z: rw.contour.pollaczek_unit_grid(d, u, len(z), cert, quad),
+        }
+
+    def test_upper_half_nodes_only(self, dists):
+        d = dists["poisson"]
+        calls = []
+        evaluator = self._evaluators(d, self.CFG)["product"]
+        cli._invert_transform(lambda u, z: calls.append(u) or evaluator(u, z), d, self.CFG)
+        assert len(calls) == 64 // 2 + 1
+        assert all(np.imag(u) >= 0 for u in calls)
+
+    @pytest.mark.parametrize("law", ["geometric", "poisson"])
+    @pytest.mark.parametrize("method", ["product", "pollaczek"])
+    def test_matches_full_circle(self, dists, law, method):
+        d = dists[law]
+        evaluator = self._evaluators(d, self.CFG)[method]
+        half = cli._invert_transform(evaluator, d, self.CFG)
+        full = self._full_circle(evaluator, d, self.CFG)
+        np.testing.assert_allclose(half, full, rtol=0, atol=1e-14)
 
 
 def _poisson_config(lam, s, methods, n_max, m_max=None):
@@ -171,6 +227,27 @@ class TestRendering:
         assert lines[1] == "0,0,dp,1.0"
         # 2 methods x 9 complete rows x 9 columns
         assert len(lines) == 1 + 2 * 9 * 9
+
+    def test_csv_matches_per_cell_formula(self):
+        # signed zero, a subnormal and tiny values keep their repr text
+        rng = np.random.default_rng(3)
+        probs = rng.random((4, 7)) * 10.0 ** rng.integers(-320, 1, (4, 7))
+        probs[0, :4] = [-0.0, 5e-324, 1e-300, 2.5e-310]
+        tables = {
+            name: rw.DistributionTable(probs * k, name, [True, False, True, True], np.zeros(4))
+            for k, name in ((1.0, "spitzer"), (-3.0, "dp"))
+        }
+        want = ["n,m,method,probability"]
+        for name in sorted(tables):
+            t = tables[name]
+            for n in range(t.n_max + 1):
+                if t.complete_rows[n]:
+                    want += [f"{n},{m},{name},{repr(float(t.probs[n, m]))}"
+                             for m in range(t.m_max + 1)]
+        text = cli.render_csv(cli.RunResult(tables, None))
+        assert text == "\n".join(want) + "\n"
+        assert "0,0,spitzer,-0.0" in text and "0,1,spitzer,5e-324" in text
+        assert "0,2,spitzer,1e-300" in text
 
     def test_json_round_trips(self):
         result = cli.run(cli.parse_config(SIMPLE_CONFIG))

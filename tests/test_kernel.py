@@ -2,7 +2,37 @@ import numpy as np
 import pytest
 
 import reflectedwalk as rw
-from reflectedwalk.kernel import kernel_eval
+from reflectedwalk import kernel
+from reflectedwalk.kernel import _polish, kernel_deriv_eval, kernel_eval
+
+# complex u on the inversion circle and inside it, both half planes
+COMPLEX_US = (0.5 * np.exp(0.3j), 0.5 * np.exp(2.5j), 0.9 * np.exp(-1.2j), 0.3j)
+
+
+def _polish_one(dist, u, z):
+    """The per-root Newton loop that the array polish must reproduce."""
+    res = abs(kernel_eval(dist, u, z))
+    for _ in range(50):
+        if res <= kernel.POLISH_TARGET:
+            break
+        fp = kernel_deriv_eval(dist, u, z)
+        if fp == 0:
+            break
+        cand = z - kernel_eval(dist, u, z) / fp
+        cand_res = abs(kernel_eval(dist, u, cand))
+        if cand_res >= res:
+            break
+        z, res = cand, cand_res
+    return z
+
+
+def _assert_conjugate_sets(a, b, atol):
+    """Each root of a lies within atol of its own conjugate from b."""
+    assert len(a) == len(b)
+    unused = list(np.conj(np.asarray(b)))
+    for z in a:
+        k = int(np.argmin(np.abs(np.asarray(unused) - z)))
+        assert abs(unused.pop(k) - z) <= atol
 
 
 class TestFindKernelRoots:
@@ -49,6 +79,31 @@ class TestFindKernelRoots:
                 np.testing.assert_allclose(
                     np.sort_complex(rs.roots), conj, atol=1e-10
                 )
+
+    @pytest.mark.parametrize("u", COMPLEX_US)
+    def test_conjugate_u_gives_conjugate_roots(self, dists, u):
+        laws = dict(dists, heavy=rw.make_family("poisson", 20, lam=19.0))
+        for d in laws.values():
+            rs = rw.find_kernel_roots(d, u)
+            rs_conj = rw.find_kernel_roots(d, np.conj(u))
+            _assert_conjugate_sets(rs.roots, rs_conj.roots, atol=1e-14)
+
+    def test_roots_just_outside_band_are_not_polished(self, simple, monkeypatch):
+        # kernel -w^2/4 + w - 1/4 at u = 0.5: roots 2 -+ sqrt(3); move the
+        # in-disk eigenvalue to |z| > 1 + POLISH_BAND, where Newton from it
+        # would reach the true root, so the count must come up short
+        true_roots = np.roots(kernel.kernel_coeffs(simple, 0.5)[::-1])
+        outer = true_roots[np.abs(true_roots) > 1]
+        nudged = 1.0 + 1.5 * kernel.POLISH_BAND
+        monkeypatch.setattr(np, "roots", lambda c: np.append(outer, nudged))
+        with pytest.raises(rw.KernelRootError, match="expected 1 in-disk roots, found 0"):
+            rw.find_kernel_roots(simple, 0.5)
+        # the same start inside the band is polished into the disk
+        monkeypatch.setattr(
+            np, "roots", lambda c: np.append(outer, 1.0 + 0.5 * kernel.POLISH_BAND)
+        )
+        rs = rw.find_kernel_roots(simple, 0.5)
+        assert rs.roots[0] == pytest.approx(2.0 - np.sqrt(3.0), abs=1e-12)
 
     def test_rouche_count_and_strict_interior(self, dists):
         for d in dists.values():
@@ -121,8 +176,6 @@ class TestLogResidueCheck:
 
 class TestNewtonPolish:
     def test_polish_never_increases_residual(self, dists):
-        from reflectedwalk.kernel import _polish
-
         rng = np.random.default_rng(42)
         for d in dists.values():
             for _ in range(10):
@@ -131,3 +184,24 @@ class TestNewtonPolish:
                 before = abs(kernel_eval(d, u, z))
                 _, after = _polish(d, u, z)
                 assert after <= before
+
+    @pytest.mark.parametrize("u", (0.3, 0.85) + COMPLEX_US)
+    def test_array_polish_matches_per_root_loop(self, dists, u):
+        rng = np.random.default_rng(7)
+        for d in dists.values():
+            # the companion eigenvalues polished in find_kernel_roots, as they
+            # come and nudged off the roots; next to a critical point of the
+            # kernel, Newton's first step overshoots and must be rejected
+            coeffs = kernel.kernel_coeffs(d, u)[::-1]
+            eig = np.roots(coeffs).astype(complex)
+            eig = eig[np.abs(eig) < 1.0 + kernel.POLISH_BAND]
+            crit = np.roots(np.polyder(coeffs)) + 1e-7 * (1 + 1j)
+            z0 = np.concatenate([eig, crit] + [
+                eig + scale * (rng.standard_normal(eig.shape) + 1j * rng.standard_normal(eig.shape))
+                for scale in (1e-6, 1e-3)
+            ])
+            z, res = _polish(d, u, z0)
+            want = np.array([_polish_one(d, u, complex(w)) for w in z0])
+            np.testing.assert_allclose(z, want, rtol=0, atol=1e-14)
+            assert np.all(res <= np.abs(kernel_eval(d, u, z0)))
+            np.testing.assert_array_equal(res, np.abs(kernel_eval(d, u, z)))

@@ -39,9 +39,7 @@ from .oracle import (
 )
 from .series import (
     USeries,
-    poly_mul,
     series_exp,
-    series_log,
     spitzer_series,
 )
 
@@ -72,8 +70,6 @@ __all__ = [
     "lindley_dp",
     "numerator_check",
     "USeries",
-    "poly_mul",
     "series_exp",
-    "series_log",
     "spitzer_series",
 ]

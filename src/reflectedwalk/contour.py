@@ -89,7 +89,9 @@ def choose_outer_radius(
     hi = min(dist.analyticity_radius_hint * (1.0 - 1e-6), OUTER_RADIUS_CAP)
     if hi <= 1.0:
         raise RadiusSearchError("no room above 1 below the analyticity radius")
-    # keep the grid's lower end away from the pole of the integrand at w = 1
+    # start a margin above 1: as b -> 1 the circle nears the kernel zeros
+    # close to the unit circle, L(w) varies faster on it and the plus-part
+    # FFT needs more nodes
     lo = 1.0 + 0.05 * min(1.0, hi - 1.0)
     grid = np.geomspace(lo, hi, grid_points)
     ratios = v * pgf_eval(dist, grid).real / grid**dist.s

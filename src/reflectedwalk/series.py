@@ -3,8 +3,13 @@
 Implements the exponential-series route to the reflected-walk transform:
 F(u, z) = exp(sum_{l>=1} (u^l / l) E(z^{S_l^+})), truncated at order N in u
 and degree M in z.  Because the u^n coefficient of exp only involves orders
-<= n and z-truncation of nonnegative convolutions is prefix-exact, the
-retained coefficients are exact up to roundoff.
+<= n and z-truncation of polynomial products is prefix-exact, the retained
+coefficients are exact up to roundoff.
+
+The exponential runs its recurrence in the frequency domain: every row is
+transformed once by a real FFT at one length L >= 2M + 1, and each new row
+is one sum of spectral products and one inverse transform (see
+``series_exp``).
 
 A z-polynomial is a 1-D coefficient array c_0..c_M; a series is one
 (N+1, M+1) array whose row n holds the z-polynomial at u^n.
@@ -17,34 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import positive_part_coeffs
-
-# below this product size plain schoolbook convolution wins and is
-# bitwise-reproducible across truncation orders
-_FFT_CUTOFF = 1 << 18
-
-
-def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution of two real sequences by real FFTs.
-
-    The transform length is the next power of two holding all
-    len(a) + len(b) - 1 outputs, so the circular product does not wrap.
-    """
-    n = len(a) + len(b) - 1
-    size = 1 << (n - 1).bit_length()
-    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
-
-
-def poly_mul(a: np.ndarray, b: np.ndarray, m_cap: int) -> np.ndarray:
-    """Product of two z-polynomials truncated to degree m_cap.
-
-    Returns m_cap + 1 coefficients, equal to those of the untruncated
-    product (zero past its degree).
-    """
-    full = np.convolve(a, b) if len(a) * len(b) <= _FFT_CUTOFF else _fft_convolve(a, b)
-    out = np.zeros(m_cap + 1)
-    keep = full[: m_cap + 1]
-    out[: len(keep)] = keep
-    return out
 
 
 @dataclass(frozen=True)
@@ -87,33 +64,33 @@ class USeries:
 def series_exp(g: USeries) -> USeries:
     """exp of a series with zero constant term.
 
-    Differential recurrence: n f_n = sum_{l=1..n} l g_l * f_{n-l}, f_0 = 1.
+    Differential recurrence: n f_n = sum_{l=1..n} l g_l * f_{n-l}, f_0 = 1,
+    each f_n truncated to degree M.  Every row l g_l, and every f_n once it
+    is known, is transformed once by a real FFT at the power-of-two length
+    L = 2^bitlen(2M) >= 2M + 1; the sum over l is then one pointwise
+    multiply-add of spectra, and f_n is its inverse transform cut to
+    degree M, divided by n.
+
+    Both factors have degree <= M, so each product has degree <= 2M < L and
+    the length-L circular product does not wrap.  Degrees <= M of a product
+    depend only on degrees <= M of its factors, so truncating f_n before
+    its transform leaves the retained coefficients equal to those of the
+    untruncated series, up to FFT roundoff.
     """
-    m = g.degree_cap
+    n_cap, m = g.order_cap, g.degree_cap
     if np.any(g[0] != 0.0):
         raise ValueError("series_exp needs a zero constant term")
+    size = 1 << (2 * m).bit_length()
+    spec_g = np.fft.rfft(np.arange(n_cap + 1)[:, None] * g.coeffs, size)
+    spec_f = np.empty_like(spec_g)
+    spec_f[0] = 1.0
     fmat = np.zeros_like(g.coeffs)
     fmat[0, 0] = 1.0
-    for n in range(1, g.order_cap + 1):
-        acc = np.zeros(m + 1)
-        for l in range(1, n + 1):
-            acc += l * poly_mul(g[l], fmat[n - l], m)
-        fmat[n] = acc / n
+    for n in range(1, n_cap + 1):
+        acc = np.einsum("lk,lk->k", spec_g[1 : n + 1], spec_f[n - 1 :: -1])
+        fmat[n] = np.fft.irfft(acc, size)[: m + 1] / n
+        spec_f[n] = np.fft.rfft(fmat[n], size)
     return USeries(fmat)
-
-
-def series_log(f: USeries) -> USeries:
-    """log of a series with unit constant term; inverse of series_exp."""
-    m = f.degree_cap
-    if f[0][0] != 1.0 or np.any(f[0][1:] != 0.0):
-        raise ValueError("series_log needs constant term 1")
-    gmat = np.zeros_like(f.coeffs)
-    for n in range(1, f.order_cap + 1):
-        acc = n * f[n]
-        for l in range(1, n):
-            acc -= l * poly_mul(gmat[l], f[n - l], m)
-        gmat[n] = acc / n
-    return USeries(gmat)
 
 
 def spitzer_series(dist, order_cap: int, degree_cap: int) -> USeries:

@@ -118,6 +118,16 @@ class TestRun:
         dev = np.abs(result.tables["product"].probs - result.tables["dp"].probs)
         assert dev.max() <= 1e-11
 
+    def test_tiny_top_coefficient_all_methods(self):
+        # binomial(80, 0.1), s = 9: P(A = 80) = 1e-80
+        cfg = cli.parse_config(
+            "family = binomial\nn = 80\np = 0.1\ns = 9\n"
+            "methods = dp, spitzer, product, pollaczek\nn_max = 6\nm_max = 60\n"
+        )
+        result = cli.run(cfg)
+        assert result.report.all_passed
+        assert set(result.tables) == {"dp", "spitzer", "product", "pollaczek"}
+
 
 class TestHalfCircle:
     """F(conj u, conj z) = conj F(u, z): half the u circle gives the table."""

@@ -112,6 +112,15 @@ class TestFindKernelRoots:
                 assert len(rs) == d.s
                 assert rs.max_modulus < 1.0
 
+    @pytest.mark.parametrize("u", [0.1, 0.25, 0.5, 0.7])
+    def test_tiny_top_coefficient(self, u):
+        # binomial(80, 0.1): P(A = 80) = 1e-80 makes the far companion
+        # eigenvalues inaccurate; none of them may enter the in-disk count
+        d = rw.make_family("binomial", 9, n=80, p=0.1)
+        rs = rw.find_kernel_roots(d, u)
+        assert len(rs) == 9
+        assert rs.max_modulus < 1.0
+
 
 class TestProductEval:
     def test_value_at_one_is_geometric_sum(self, dists):

@@ -40,6 +40,7 @@ from .oracle import (
 from .series import (
     USeries,
     series_exp,
+    series_log,
     spitzer_series,
 )
 
@@ -71,5 +72,6 @@ __all__ = [
     "numerator_check",
     "USeries",
     "series_exp",
+    "series_log",
     "spitzer_series",
 ]

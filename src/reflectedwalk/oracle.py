@@ -78,6 +78,11 @@ def lindley_dp(
     )
 
 
+def row_pgf(table: DistributionTable, n: int, z) -> complex:
+    """E(z^{M_n}) from table row n."""
+    return np.polyval(table.probs[n][::-1], z)
+
+
 def boundary_probs(dist: IncrementDistribution, table: DistributionTable):
     """Array b[r, n] = P(M_n + A_{n+1} = r) for r = 0..s-1."""
     s = dist.s

@@ -93,6 +93,25 @@ def series_exp(g: USeries) -> USeries:
     return USeries(fmat)
 
 
+def series_log(f: USeries) -> USeries:
+    """log of a series with unit constant term; inverse of series_exp.
+
+    n g_n = n f_n - sum_{l=1..n-1} l g_l * f_{n-l}, one direct truncated
+    convolution per (n, l), so it checks ``series_exp`` independently of
+    its transforms.
+    """
+    m = f.degree_cap
+    if f[0][0] != 1.0 or np.any(f[0][1:] != 0.0):
+        raise ValueError("series_log needs constant term 1")
+    gmat = np.zeros_like(f.coeffs)
+    for n in range(1, f.order_cap + 1):
+        acc = n * f[n]
+        for l in range(1, n):
+            acc -= l * np.convolve(gmat[l], f[n - l])[: m + 1]
+        gmat[n] = acc / n
+    return USeries(gmat)
+
+
 def spitzer_series(dist, order_cap: int, degree_cap: int) -> USeries:
     """F(u, z) truncated at (order_cap, degree_cap) via the exponential series.
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import reflectedwalk as rw
-from reflectedwalk.oracle import boundary_probs, required_boundary_order
+from reflectedwalk.oracle import boundary_probs, required_boundary_order, row_pgf
 
 
 class TestLindleyDp:
@@ -145,3 +145,11 @@ class TestBoundaryProbs:
         for n in range(7):
             law = np.convolve(t.probs[n], d.pmf_a)
             np.testing.assert_allclose(b[:, n], law[: d.s], atol=1e-14)
+
+
+class TestRowPgf:
+    def test_matches_polyval(self, simple):
+        t = rw.lindley_dp(simple, 4, 4)
+        z = 0.3 + 0.1j
+        expect = sum(t.probs[3][m] * z**m for m in range(5))
+        assert row_pgf(t, 3, z) == pytest.approx(expect)

@@ -65,9 +65,39 @@ class TestExpLog:
         for n in range(7):
             np.testing.assert_allclose(f[n], [1.0, 0.0], atol=1e-13)
 
+    def test_log_of_one(self):
+        one = np.zeros((4, 3))
+        one[0, 0] = 1.0
+        g = rw.series_log(rw.USeries(one))
+        for n in range(4):
+            np.testing.assert_array_equal(g[n], np.zeros(3))
+
+    def test_log_of_all_ones(self):
+        ones = np.zeros((7, 2))
+        ones[:, 0] = 1.0
+        g = rw.series_log(rw.USeries(ones))
+        for l in range(1, 7):
+            np.testing.assert_allclose(g[l], [1.0 / l, 0.0], atol=1e-13)
+
     def test_nonzero_constant_rejected(self):
         with pytest.raises(ValueError):
             rw.series_exp(rw.USeries([[1.0, 0.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError):
+            rw.series_log(rw.USeries(np.zeros((2, 2))))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_exp_log_round_trip(self, order, degree, seed):
+        rng = np.random.default_rng(seed)
+        mat = rng.uniform(0.0, 1.0, (order + 1, degree + 1))
+        mat[0] = 0.0
+        g = rw.USeries(mat)
+        back = rw.series_log(rw.series_exp(g))
+        assert np.max(np.abs(back.as_matrix() - mat)) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(

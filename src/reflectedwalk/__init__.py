@@ -18,7 +18,6 @@ from .contour import (
 )
 from .dist import (
     IncrementDistribution,
-    WalkPmf,
     make_family,
     pgf_eval,
     positive_part_pgf,
@@ -56,7 +55,6 @@ __all__ = [
     "pollaczek_eval",
     "verify_coeff_identity",
     "IncrementDistribution",
-    "WalkPmf",
     "make_family",
     "pgf_eval",
     "positive_part_pgf",

@@ -10,9 +10,11 @@ line, ``#`` comments).  Recognized keys:
     methods   comma-separated subset of dp, spitzer, product, pollaczek
     n_max, m_max   grid bounds (defaults 12, 12)
     u_radius  inversion circle radius for transform methods (default 0.5)
-    v         operating cap on |u| for the outer-radius certificate (default 0.75)
+    v         operating cap on |u| for the outer-radius certificate, in (0, 1)
+              (default 0.75)
     tolerance           pairwise agreement tolerance (default 1e-9)
     tol_functional, tol_numerator, tol_coeff, tol_logres   per-check overrides
+              (every tolerance a positive finite number)
     format    csv | json (default csv)
     output    destination path (CLI flag overrides)
     verbose   true | false
@@ -133,6 +135,14 @@ _int = _typed(int, "an integer")
 _float = _typed(float, "a number")
 
 
+def _positive(raw: str) -> float:
+    """A tolerance: a positive finite number."""
+    x = _float(raw)
+    if not 0 < x < math.inf:
+        raise ValueError(f"not a positive finite number: {raw!r}")
+    return x
+
+
 def _parse_probs(raw: str) -> list:
     return [_float(tok) for tok in raw.replace(",", " ").split()]
 
@@ -164,12 +174,10 @@ _KEYS = {
     "n": (_int, "param"),
     "lam": (_float, "param"),
     "probs": (_parse_probs, "param"),
+    **{key: (_float, "field") for key in ("tail_tol", "u_radius", "v")},
     **{
-        key: (_float, "field")
-        for key in (
-            "tail_tol", "u_radius", "v", "tolerance",
-            "tol_functional", "tol_numerator", "tol_coeff", "tol_logres",
-        )
+        key: (_positive, "field")
+        for key in ("tolerance", "tol_functional", "tol_numerator", "tol_coeff", "tol_logres")
     },
     "n_max": (_int, "field"),
     "m_max": (_int, "field"),
@@ -210,6 +218,8 @@ def parse_config(text: str) -> RunConfig:
         )
     if not 0 < cfg.u_radius < 1:
         raise ConfigError("u_radius must lie in (0, 1)")
+    if not 0 < cfg.v < 1:
+        raise ConfigError("v must lie in (0, 1)")
     if cfg.n_max < 0 or cfg.m_max < 0:
         raise ConfigError("n_max and m_max must be >= 0")
     return cfg
@@ -344,11 +354,11 @@ def _structural_checks(d, cfg: RunConfig, dp_table, cert) -> list:
         )
     else:
         quad = contour.CircleQuadrature()
+        k = np.array([1, 3])
         res = 0.0
         for l in (1, 2, 4):
-            for k in (1, 3):
-                integral, pmf = contour.verify_coeff_identity(d, l, k, cert, quad)
-                res = max(res, abs(integral - pmf))
+            integral, pmf = contour.verify_coeff_identity(d, l, k, cert, quad)
+            res = max(res, float(np.max(np.abs(integral - pmf))))
         checks.append(
             CheckResult("coefficient-identity", res, cfg.tol_coeff, res <= cfg.tol_coeff)
         )

@@ -1,9 +1,10 @@
 """Circle-contour quadrature: Pollaczek integral and Cauchy coefficients.
 
-All integrals run over circles on a uniform angular grid (the trapezoidal
-rule, or equivalently the FFT), which converges geometrically for
-integrands analytic in an annulus around the contour.  Node counts are
-doubled until two successive estimates agree to tolerance.
+All integrals run over circles on a uniform angular grid.  The trapezoidal
+rule there is the FFT, and it converges geometrically for integrands
+analytic in an annulus around the contour.  One helper, ``_circle_fft``,
+turns circle samples into coefficients: it doubles the node count until
+two successive spectra agree to tolerance, by a gap each caller defines.
 
 The Pollaczek exponent is the Wiener-Hopf plus part of
 L(w) = ln(1 - u A(w)/w^s) on |w| = b: with L = sum_k c_k w^k there,
@@ -37,16 +38,13 @@ class RadiusSearchError(RuntimeError):
 
 @dataclass(frozen=True)
 class CircleQuadrature:
-    """Trapezoid/FFT-with-doubling settings for one circular contour."""
+    """FFT-with-doubling settings for one circular contour."""
 
-    radius: float = 1.0
     nodes: int = 256
     max_doublings: int = 12
     tol: float = 1e-12
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
         if self.nodes < 16 or self.nodes & (self.nodes - 1):
             raise ValueError("nodes must be a power of two >= 16")
         if self.tol <= 0:
@@ -104,13 +102,19 @@ def choose_outer_radius(
     return RadiusCertificate(b=float(grid[best]), v=v, margin=float(ratios[best]))
 
 
-def _refine(evaluate, quad: CircleQuadrature, gap):
-    """Run evaluate(nodes) with node doubling until gap(cur, prev) < tol."""
+def _circle_fft(f, r: float, quad: CircleQuadrature, gap) -> np.ndarray:
+    """Spectrum fft(f(w)) / nodes of f on the nodes w_j = r exp(2 pi i j / nodes).
+
+    Entry n is the trapezoid value of (1/2 pi i) oint f(w) (r/w)^n dw/w, that
+    is r^n times the n-th Laurent coefficient of f plus its aliases at
+    n +- nodes.  The node count doubles from quad.nodes until
+    gap(cur, prev) < quad.tol, gap comparing two successive spectra.
+    """
     nodes = quad.nodes
-    prev = evaluate(nodes)
+    prev = np.fft.fft(f(_circle(r, nodes))) / nodes
     for _ in range(quad.max_doublings):
         nodes *= 2
-        cur = evaluate(nodes)
+        cur = np.fft.fft(f(_circle(r, nodes))) / nodes
         last = gap(cur, prev)
         if last < quad.tol:
             return cur
@@ -121,56 +125,61 @@ def _refine(evaluate, quad: CircleQuadrature, gap):
     )
 
 
-def _max_gap(cur, prev) -> float:
-    return float(np.max(np.abs(cur - prev)))
+def cauchy_coeff(f, n, r: float, quad: CircleQuadrature):
+    """n-th series coefficient of f as (1/2 pi i) oint_{|w|=r} f(w) / w^{n+1} dw.
 
-
-def cauchy_coeff(f, n: int, r: float, quad: CircleQuadrature):
-    """n-th series coefficient of f as (1/2 pi i) oint f(w) / w^{n+1} dw.
-
+    n is an int or an int array; every n is read from one transform per
+    node count, which doubles until no requested coefficient moves by tol.
     f must accept a complex ndarray of contour nodes.  Exact up to roundoff
     for polynomials of degree < nodes.
     """
-    if n < 0:
+    n_arr = np.asarray(n)
+    if np.any(n_arr < 0):
         raise ValueError("n must be >= 0")
     if r <= 0:
         raise ValueError("r must be positive")
+    scale = float(r) ** -n_arr
 
-    def estimate(nodes):
-        w = _circle(r, nodes)
-        return complex(np.mean(np.asarray(f(w)) * w ** (-n)))
+    def read(spectrum):
+        return spectrum[n_arr % len(spectrum)] * scale
 
-    return _refine(estimate, quad, _max_gap)
+    def gap(cur, prev):
+        return float(np.max(np.abs(read(cur) - read(prev))))
+
+    coeffs = read(_circle_fft(f, r, quad, gap))
+    return complex(coeffs) if n_arr.ndim == 0 else coeffs
 
 
 def _plus_part(dist, u, cert, quad, rho: float) -> np.ndarray:
     """Scaled plus-part coefficients a_k = c_k b^k, k < nodes / 2, a_0 = 0.
 
-    One FFT of L(w) = ln(1 - u A(w)/w^s) on |w| = b per node count; the
-    first half of the spectrum holds the nonnegative Laurent indices.  The
-    node count doubles until sum_k |Delta a_k| (b^-k + (rho/b)^k) < tol,
-    which bounds the change of E(z) = sum_k c_k (1 - z^k) at every |z| <= rho.
+    The first half of the spectrum of L(w) = ln(1 - u A(w)/w^s) on |w| = b
+    holds the nonnegative Laurent indices.  The node count doubles until
+    sum_k |Delta a_k| (b^-k + (rho/b)^k) < tol, which bounds the change of
+    E(z) = sum_k c_k (1 - z^k) at every |z| <= rho.
     """
     b = cert.b
 
-    def coeffs(nodes):
-        w = _circle(b, nodes)
+    def log_kernel(w):
         log_arg = 1.0 - u * pgf_eval(dist, w) / w**dist.s
         if np.any(log_arg.real <= 0.0):
             raise QuadratureError(
                 "principal branch unsafe: Re(1 - u A(w)/w^s) <= 0 on the contour"
             )
-        a = np.fft.fft(np.log(log_arg))[: nodes // 2] / nodes
+        return np.log(log_arg)
+
+    def plus(spectrum):
+        a = spectrum[: len(spectrum) // 2].copy()
         a[0] = 0.0
         return a
 
     def gap(cur, prev):
-        diff = cur.copy()
-        diff[: len(prev)] -= prev
-        k = np.arange(len(cur))
+        diff = plus(cur)
+        diff[: len(prev) // 2] -= plus(prev)
+        k = np.arange(len(diff))
         return float(np.sum(np.abs(diff) * (b ** -k + (rho / b) ** k)))
 
-    return _refine(coeffs, quad, gap)
+    return plus(_circle_fft(log_kernel, b, quad, gap))
 
 
 def _check_u(u, cert: RadiusCertificate):
@@ -232,18 +241,24 @@ def pollaczek_unit_grid(
 def verify_coeff_identity(
     dist: IncrementDistribution,
     l: int,
-    k: int,
+    k,
     cert: RadiusCertificate,
     quad: CircleQuadrature,
 ):
     """Cauchy extraction of [w^{k+sl}] A(w)^l against the exact pmf of S_l.
 
-    Returns (integral, pmf) for the caller to compare.
+    k is an int or an int array; every k + s l is read from one transform of
+    A(w)^l on |w| = b.  Returns (integral, pmf) for the caller to compare:
+    two floats for a scalar k, two arrays for an array k.
     """
-    if l < 1 or k < 1:
+    k_arr = np.asarray(k)
+    if l < 1 or np.any(k_arr < 1):
         raise ValueError("l and k must be >= 1")
-    integral = cauchy_coeff(
-        lambda w: pgf_eval(dist, w) ** l, k + dist.s * l, cert.b, quad
-    )
-    pmf = walk_pmf(dist, l).prob_at(k)
-    return float(integral.real), pmf
+    idx = k_arr + dist.s * l
+    integral = cauchy_coeff(lambda w: pgf_eval(dist, w) ** l, idx, cert.b, quad).real
+    # P(S_l = k) = 0 above the support: clamp those k to an appended zero
+    probs = walk_pmf(dist, l)
+    pmf = np.append(probs, 0.0)[np.minimum(idx, len(probs))]
+    if k_arr.ndim == 0:
+        return float(integral), float(pmf)
+    return integral, pmf

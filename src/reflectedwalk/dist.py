@@ -72,8 +72,7 @@ class IncrementDistribution:
             )
         if p[0] == 0.0:
             warnings.warn(
-                "P(A=0) = 0: the kernel has roots at the origin; "
-                "root clustering will report their multiplicity",
+                "P(A=0) = 0: the kernel has roots at the origin",
                 UserWarning,
                 stacklevel=2,
             )
@@ -87,37 +86,6 @@ class IncrementDistribution:
     def support_growth(self) -> int:
         """Max upward movement of the reflected walk per step."""
         return max(self.j_max - self.s, 0)
-
-    def mean_increment(self) -> float:
-        return float(np.arange(len(self.pmf_a)) @ self.pmf_a) - self.s
-
-
-@dataclass(frozen=True)
-class WalkPmf:
-    """Law of the l-step partial sum S_l = X_1 + ... + X_l."""
-
-    l: int
-    offset: int
-    probs: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        p.setflags(write=False)
-        object.__setattr__(self, "probs", p)
-
-    def prob_at(self, k: int) -> float:
-        """P(S_l = k); zero off the support."""
-        idx = k - self.offset
-        if idx < 0 or idx >= len(self.probs):
-            return 0.0
-        return float(self.probs[idx])
-
-    def prob_leq(self, k: int) -> float:
-        """P(S_l <= k)."""
-        idx = k - self.offset
-        if idx < 0:
-            return 0.0
-        return float(self.probs[: idx + 1].sum())
 
 
 def make_family(
@@ -220,8 +188,12 @@ def pgf_deriv_eval(dist: IncrementDistribution, w):
     return np.polyval(coeffs[::-1], w)
 
 
-def walk_pmf(dist: IncrementDistribution, l: int) -> WalkPmf:
-    """Law of S_l by iterated schoolbook convolution of the A-pmf."""
+def walk_pmf(dist: IncrementDistribution, l: int) -> np.ndarray:
+    """Law of S_l = X_1 + ... + X_l: entry i is P(S_l = i - s l).
+
+    The l-th convolution power of the A-pmf, by iterated schoolbook
+    convolution.
+    """
     if l < 1:
         raise ValueError("l must be >= 1")
     if l * dist.j_max + 1 > SUPPORT_CAP:
@@ -232,14 +204,14 @@ def walk_pmf(dist: IncrementDistribution, l: int) -> WalkPmf:
     probs = dist.pmf_a
     for _ in range(l - 1):
         probs = np.convolve(probs, dist.pmf_a)
-    return WalkPmf(l=l, offset=-dist.s * l, probs=probs)
+    return probs
 
 
 def positive_part_pgf(dist: IncrementDistribution, l: int, m_max: int) -> np.ndarray:
     """Coefficients of the pgf of S_l^+ = max(S_l, 0), truncated to degree m_max."""
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
-    return positive_part_coeffs(walk_pmf(dist, l).probs, dist.s * l, m_max)
+    return positive_part_coeffs(walk_pmf(dist, l), dist.s * l, m_max)
 
 
 def positive_part_coeffs(probs: np.ndarray, zero_index: int, m_max: int) -> np.ndarray:

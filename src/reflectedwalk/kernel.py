@@ -26,7 +26,6 @@ IN_DISK_TOL = 1e-12        # strict in-disk selection margin
 RESIDUAL_TOL = 1e-10       # hard cap on accepted root residuals
 POLISH_TARGET = 1e-12
 POLISH_BAND = 1e-3         # polish eigenvalues with |z| < 1 + POLISH_BAND
-CLUSTER_TOL = 1e-7
 
 
 class KernelRootError(RuntimeError):
@@ -37,10 +36,8 @@ class KernelRootError(RuntimeError):
 class RootSet:
     """The s in-disk kernel roots for one value of u."""
 
-    u: complex
     roots: np.ndarray
     residuals: np.ndarray
-    clusters: tuple
     max_modulus: float
 
     def __post_init__(self):
@@ -100,27 +97,6 @@ def _polish(dist, u, z):
     return z, res
 
 
-def _cluster(roots: np.ndarray, tol: float = CLUSTER_TOL) -> tuple:
-    """Partition root indices into groups closer than tol (transitively)."""
-    n = len(roots)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(roots[i] - roots[j]) < tol:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return tuple(tuple(g) for g in sorted(groups.values()))
-
-
 def find_kernel_roots(dist: IncrementDistribution, u: complex) -> RootSet:
     """All s kernel roots with |z| < 1, via companion-matrix eigenvalues."""
     if abs(u) >= 1:
@@ -146,10 +122,8 @@ def find_kernel_roots(dist: IncrementDistribution, u: complex) -> RootSet:
             f"root residuals exceed {RESIDUAL_TOL}: {residuals.tolist()} at u={u!r}"
         )
     return RootSet(
-        u=u,
         roots=roots,
         residuals=residuals,
-        clusters=_cluster(roots),
         max_modulus=float(np.max(np.abs(roots))) if len(roots) else 0.0,
     )
 

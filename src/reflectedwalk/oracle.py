@@ -139,7 +139,6 @@ def numerator_check(
     dist: IncrementDistribution,
     u: float,
     roots: RootSet,
-    table: DistributionTable | None = None,
     tol: float = 1e-9,
 ) -> float:
     """Residual of the numerator-polynomial structure at the kernel roots.
@@ -151,16 +150,7 @@ def numerator_check(
     """
     n_req = required_boundary_order(u, tol / 10.0)
     m_need = max(n_req * dist.support_growth, dist.s)
-    if (
-        table is None
-        or table.n_max < n_req
-        or not np.all(table.complete_rows[: n_req + 1])
-    ):
-        if table is not None:
-            raise ValueError(
-                f"table must have >= {n_req} complete rows for u = {u}, tol = {tol}"
-            )
-        table = lindley_dp(dist, n_req, m_need)
+    table = lindley_dp(dist, n_req, m_need)
     bnd = boundary_probs(dist, table)
     upow = u ** np.arange(table.n_max + 1)
     f_r = bnd @ upow  # F_r(u) truncated at n_max

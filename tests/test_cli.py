@@ -46,6 +46,11 @@ class TestParseConfig:
             ("family = explicit\ns = 1\nno equals sign here\nprobs = 1\n", "line 3"),
             ("family = explicit\nprobs = 1\ns = 1\nformat = xml\n", "format"),
             ("family = explicit\nprobs = 1\ns = 1\ns = 2\n", "duplicate"),
+            ("family = explicit\nprobs = 1\ns = 1\ntolerance = -1\n", "'tolerance'"),
+            ("family = explicit\nprobs = 1\ns = 1\ntolerance = nan\n", "'tolerance'"),
+            ("family = explicit\nprobs = 1\ns = 1\ntol_coeff = 0\n", "'tol_coeff'"),
+            ("family = explicit\nprobs = 1\ns = 1\ntol_logres = inf\n", "'tol_logres'"),
+            ("family = explicit\nprobs = 1\ns = 1\nv = 1.5\n", "v must"),
         ],
     )
     def test_errors_carry_diagnostics(self, text, match):
@@ -109,6 +114,17 @@ class TestRun:
         result = cli.run(cli.parse_config(SIMPLE_CONFIG))
         assert result.report.all_passed
         assert calls == [0.25, 0.5, 0.5]
+
+    def test_one_coefficient_extraction_per_l(self, monkeypatch):
+        # every k of one l comes from one transform of A(w)^l
+        calls = []
+        verify = rw.contour.verify_coeff_identity
+        monkeypatch.setattr(
+            rw.contour, "verify_coeff_identity", lambda *a: calls.append(a[1]) or verify(*a)
+        )
+        result = cli.run(cli.parse_config(SIMPLE_CONFIG))
+        assert result.report.all_passed
+        assert calls == [1, 2, 4]
 
     def test_inverted_table_matches_dp(self):
         cfg = cli.parse_config(SIMPLE_CONFIG.replace(

@@ -88,39 +88,36 @@ class TestPgfEval:
 
 
 class TestWalkPmf:
+    """walk_pmf(d, l)[i] = P(S_l = i - s l)."""
+
     def test_two_steps_simple(self, simple):
-        w = rw.walk_pmf(simple, 2)
-        assert w.prob_at(-2) == pytest.approx(0.25)
-        assert w.prob_at(0) == pytest.approx(0.5)
-        assert w.prob_at(2) == pytest.approx(0.25)
-        assert w.prob_at(1) == 0.0
+        w = rw.walk_pmf(simple, 2)  # S_2 in {-2, ..., 2} at entries 0..4
+        assert w[0] == pytest.approx(0.25)
+        assert w[2] == pytest.approx(0.5)
+        assert w[4] == pytest.approx(0.25)
+        assert w[3] == 0.0
 
     def test_degenerate_point_mass(self):
         d = rw.make_family("deterministic", 2, c=2)  # X identically 0
         w = rw.walk_pmf(d, 7)
-        assert w.prob_at(0) == pytest.approx(1.0)
-        assert w.probs.sum() == pytest.approx(1.0)
+        assert w[d.s * 7] == pytest.approx(1.0)
+        assert w.sum() == pytest.approx(1.0)
 
     def test_single_step_is_shifted_pmf(self, dists):
         for d in dists.values():
-            w = rw.walk_pmf(d, 1)
-            assert w.offset == -d.s
-            np.testing.assert_allclose(w.probs, d.pmf_a)
+            np.testing.assert_allclose(rw.walk_pmf(d, 1), d.pmf_a)
 
     @pytest.mark.parametrize("l1,l2", [(1, 1), (2, 3), (1, 4)])
     def test_semigroup_property(self, dists, l1, l2):
         for d in dists.values():
             combined = rw.walk_pmf(d, l1 + l2)
-            left = rw.walk_pmf(d, l1)
-            right = rw.walk_pmf(d, l2)
-            conv = np.convolve(left.probs, right.probs)
-            np.testing.assert_allclose(combined.probs, conv, atol=1e-13)
+            conv = np.convolve(rw.walk_pmf(d, l1), rw.walk_pmf(d, l2))
+            np.testing.assert_allclose(combined, conv, atol=1e-13)
 
     def test_mass_conservation(self, dists):
         for d in dists.values():
             for l in (1, 3, 8):
-                w = rw.walk_pmf(d, l)
-                assert abs(w.probs.sum() - 1.0) <= 1e-12 * l
+                assert abs(rw.walk_pmf(d, l).sum() - 1.0) <= 1e-12 * l
 
     def test_support_cap(self, monkeypatch):
         import reflectedwalk.dist as dist_mod

@@ -118,12 +118,6 @@ class TestNumeratorCheck:
         roots = rw.find_kernel_roots(simple, 0.5)
         assert rw.numerator_check(simple, 0.5, roots, tol=1e-9) <= 1e-9
 
-    def test_explicit_table_must_be_complete(self, simple):
-        roots = rw.find_kernel_roots(simple, 0.5)
-        shallow = rw.lindley_dp(simple, 3, 3)
-        with pytest.raises(ValueError, match="complete"):
-            rw.numerator_check(simple, 0.5, roots, table=shallow)
-
     def test_required_order_tail_bound(self):
         for u in (0.25, 0.5, 0.9):
             n = required_boundary_order(u, 1e-10)

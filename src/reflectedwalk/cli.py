@@ -250,14 +250,19 @@ def _table(d, cfg: RunConfig, probs, method: str) -> oracle.DistributionTable:
 def _invert_transform(evaluator, d, cfg: RunConfig) -> np.ndarray:
     """Recover P(M_n = m) by Cauchy extraction in u then in z.
 
-    evaluator(u, z_nodes) returns F(u, z) at z_nodes, the nz-th roots of
-    unity in order, for one u node.  nz exceeds both the full support of
+    evaluator(u_nodes, z_nodes) is called once, with the whole array of u
+    nodes and z_nodes the nz-th roots of unity in order, and returns the
+    (len(u_nodes), nz) block F(u_i, z_j).  The transform routes evaluate
+    the block as arrays: the product route makes one stacked eigen-solve
+    for the kernel roots at every u node, and the Pollaczek route one
+    plus-part FFT per node count, each u row doubling its node count
+    until its own gap converges.  nz exceeds both the full support of
     M_{n_max} and m_max, so the z inversion is alias-free; the u circle's
     aliasing is bounded by u_radius^{n_nodes} / (1 - u_radius).  Both
     extractions are one 2-D FFT, the u axis rescaled by u_radius^{-n}.
 
-    The law is real, so F(conj u, conj z) = conj F(u, z): the evaluator runs
-    only at the u nodes k = 0 .. nu/2, where Im u >= 0, and row nu - k is
+    The law is real, so F(conj u, conj z) = conj F(u, z): the evaluator gets
+    only the u nodes k = 0 .. nu/2, where Im u >= 0, and row nu - k is
     conj(row k) read at z index (-j) mod nz, since conj u_k = u_{nu-k} and
     conj z_j = z_{-j}.
     """
@@ -269,7 +274,7 @@ def _invert_transform(evaluator, d, cfg: RunConfig) -> np.ndarray:
     u_nodes = r_u * np.exp(2j * np.pi * np.arange(half + 1) / nu)
     z_nodes = np.exp(2j * np.pi * np.arange(nz) / nz)
     samples = np.empty((nu, nz), dtype=complex)
-    samples[: half + 1] = [evaluator(u, z_nodes) for u in u_nodes]
+    samples[: half + 1] = evaluator(u_nodes, z_nodes)
     samples[half + 1 :] = np.conj(samples[half - 1 : 0 : -1, -np.arange(nz)])
     # [u^n z^m] F = r_u^-n / (nu nz) sum_ij F(u_i, z_j) exp(-2 pi i (in/nu + jm/nz))
     coeffs = np.fft.fft2(samples)[: n_max + 1, : m_max + 1] / (nu * nz)
@@ -285,9 +290,9 @@ def _compute_tables(d, cfg: RunConfig, methods, cert) -> dict:
         tables["spitzer"] = _table(d, cfg, f.coeffs[: cfg.n_max + 1], "spitzer")
     if "product" in methods:
 
-        def product_evaluator(u, z_nodes):
-            roots = kernel.find_kernel_roots(d, u)
-            return kernel.product_eval(d, u, z_nodes, roots)
+        def product_evaluator(u_nodes, z_nodes):
+            roots = kernel.find_kernel_roots(d, u_nodes)
+            return kernel.product_eval(d, u_nodes, z_nodes, roots)
 
         probs = _invert_transform(product_evaluator, d, cfg)
         tables["product"] = _table(d, cfg, probs, "product-inversion")
@@ -296,8 +301,8 @@ def _compute_tables(d, cfg: RunConfig, methods, cert) -> dict:
             raise cert
         quad = contour.CircleQuadrature()
 
-        def pollaczek_evaluator(u, z_nodes):
-            return contour.pollaczek_unit_grid(d, u, len(z_nodes), cert, quad)
+        def pollaczek_evaluator(u_nodes, z_nodes):
+            return contour.pollaczek_unit_grid(d, u_nodes, len(z_nodes), cert, quad)
 
         probs = _invert_transform(pollaczek_evaluator, d, cfg)
         tables["pollaczek"] = _table(d, cfg, probs, "pollaczek-inversion")
@@ -436,9 +441,9 @@ def render_json(result: RunResult) -> str:
                 "method": table.method,
                 "n_max": table.n_max,
                 "m_max": table.m_max,
-                "probs": [[_format_float(x) for x in row] for row in table.probs],
+                "probs": [[repr(x) for x in row] for row in table.probs.tolist()],
                 "complete_rows": [bool(b) for b in table.complete_rows],
-                "overflow": [_format_float(x) for x in table.overflow],
+                "overflow": [repr(x) for x in table.overflow.tolist()],
             }
             for method, table in sorted(result.tables.items())
         },

@@ -5,6 +5,8 @@ rule there is the FFT, and it converges geometrically for integrands
 analytic in an annulus around the contour.  One helper, ``_circle_fft``,
 turns circle samples into coefficients: it doubles the node count until
 two successive spectra agree to tolerance, by a gap each caller defines.
+It transforms a batch of functions at once, one row each, and each row
+stops doubling at its own first converged node count.
 
 The Pollaczek exponent is the Wiener-Hopf plus part of
 L(w) = ln(1 - u A(w)/w^s) on |w| = b: with L = sum_k c_k w^k there,
@@ -13,11 +15,13 @@ L(w) = ln(1 - u A(w)/w^s) on |w| = b: with L = sum_k c_k w^k there,
 
 because (1-z)/((w-1)(w-z)) = 1/(w-1) - 1/(w-z) and, for |z| < b,
 (1/2 pi i) oint L(w)/(w-z) dw = sum_{k>=0} c_k z^k.  One FFT of L gives
-every c_k at once.
+every c_k at once, and one FFT along the node axis does so for every u
+of an array.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +51,8 @@ class CircleQuadrature:
     def __post_init__(self):
         if self.nodes < 16 or self.nodes & (self.nodes - 1):
             raise ValueError("nodes must be a power of two >= 16")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be a positive finite number")
         if self.max_doublings < 1:
             raise ValueError("max_doublings must be >= 1")
 
@@ -102,26 +106,35 @@ def choose_outer_radius(
     return RadiusCertificate(b=float(grid[best]), v=v, margin=float(ratios[best]))
 
 
-def _circle_fft(f, r: float, quad: CircleQuadrature, gap) -> np.ndarray:
-    """Spectrum fft(f(w)) / nodes of f on the nodes w_j = r exp(2 pi i j / nodes).
+def _circle_fft(f, r: float, quad: CircleQuadrature, gap, rows: int = 1) -> list:
+    """Spectra fft(f(w)) / nodes of `rows` functions on w_j = r exp(2 pi i j / nodes).
 
-    Entry n is the trapezoid value of (1/2 pi i) oint f(w) (r/w)^n dw/w, that
-    is r^n times the n-th Laurent coefficient of f plus its aliases at
-    n +- nodes.  The node count doubles from quad.nodes until
-    gap(cur, prev) < quad.tol, gap comparing two successive spectra.
+    f(w, live) samples the rows `live` (an index array) at the nodes w, as
+    a (len(live), nodes) array.  Entry n of a spectrum is the trapezoid
+    value of (1/2 pi i) oint f(w) (r/w)^n dw/w, that is r^n times the n-th
+    Laurent coefficient of f plus its aliases at n +- nodes.  The node
+    count doubles from quad.nodes; gap(cur, prev) compares two successive
+    spectra of the live rows and returns one gap per row.  Each row keeps
+    its spectrum from the first doubling at which its own gap < quad.tol
+    and is not sampled again.  Returns the spectra, one 1-D array per row.
     """
     nodes = quad.nodes
-    prev = np.fft.fft(f(_circle(r, nodes))) / nodes
+    live = np.arange(rows)
+    spectra = [None] * rows
+    prev = np.fft.fft(f(_circle(r, nodes), live)) / nodes
     for _ in range(quad.max_doublings):
         nodes *= 2
-        cur = np.fft.fft(f(_circle(r, nodes))) / nodes
+        cur = np.fft.fft(f(_circle(r, nodes), live)) / nodes
         last = gap(cur, prev)
-        if last < quad.tol:
-            return cur
-        prev = cur
+        done = last < quad.tol
+        for k, spectrum in zip(live[done].tolist(), cur[done]):
+            spectra[k] = spectrum
+        live, prev, last = live[~done], cur[~done], last[~done]
+        if live.size == 0:
+            return spectra
     raise QuadratureError(
         f"no convergence after {quad.max_doublings} doublings "
-        f"(last gap {last!r} at {nodes} nodes, tol {quad.tol!r})"
+        f"(last gap {float(last[0])!r} at {nodes} nodes, tol {quad.tol!r})"
     )
 
 
@@ -141,27 +154,32 @@ def cauchy_coeff(f, n, r: float, quad: CircleQuadrature):
     scale = float(r) ** -n_arr
 
     def read(spectrum):
-        return spectrum[n_arr % len(spectrum)] * scale
+        return spectrum[..., n_arr % spectrum.shape[-1]] * scale
 
     def gap(cur, prev):
-        return float(np.max(np.abs(read(cur) - read(prev))))
+        diff = np.abs(read(cur) - read(prev))
+        return np.max(diff.reshape(len(diff), -1), axis=-1)
 
-    coeffs = read(_circle_fft(f, r, quad, gap))
+    spectrum = _circle_fft(lambda w, live: f(w)[None], r, quad, gap)[0]
+    coeffs = read(spectrum)
     return complex(coeffs) if n_arr.ndim == 0 else coeffs
 
 
-def _plus_part(dist, u, cert, quad, rho: float) -> np.ndarray:
+def _plus_part(dist, u: np.ndarray, cert, quad, rho: float) -> np.ndarray:
     """Scaled plus-part coefficients a_k = c_k b^k, k < nodes / 2, a_0 = 0.
 
-    The first half of the spectrum of L(w) = ln(1 - u A(w)/w^s) on |w| = b
-    holds the nonnegative Laurent indices.  The node count doubles until
-    sum_k |Delta a_k| (b^-k + (rho/b)^k) < tol, which bounds the change of
-    E(z) = sum_k c_k (1 - z^k) at every |z| <= rho.
+    Row i is for u[i], a 1-D array; rows that converged at fewer nodes
+    than the widest are padded with zeros.  The first half of the
+    spectrum of L(w) = ln(1 - u A(w)/w^s) on |w| = b holds the nonnegative
+    Laurent indices.  A row's node count doubles until sum_k |Delta a_k|
+    (b^-k + (rho/b)^k) < tol, which bounds the change of E(z) = sum_k c_k
+    (1 - z^k) at every |z| <= rho.
     """
     b = cert.b
 
-    def log_kernel(w):
-        log_arg = 1.0 - u * pgf_eval(dist, w) / w**dist.s
+    def log_kernel(w, live):
+        # A(w) and w^s serve every u at this node count
+        log_arg = 1.0 - u[live, None] * pgf_eval(dist, w) / w**dist.s
         if np.any(log_arg.real <= 0.0):
             raise QuadratureError(
                 "principal branch unsafe: Re(1 - u A(w)/w^s) <= 0 on the contour"
@@ -169,22 +187,27 @@ def _plus_part(dist, u, cert, quad, rho: float) -> np.ndarray:
         return np.log(log_arg)
 
     def plus(spectrum):
-        a = spectrum[: len(spectrum) // 2].copy()
-        a[0] = 0.0
+        a = spectrum[..., : spectrum.shape[-1] // 2].copy()
+        a[..., 0] = 0.0
         return a
 
     def gap(cur, prev):
         diff = plus(cur)
-        diff[: len(prev) // 2] -= plus(prev)
-        k = np.arange(len(diff))
-        return float(np.sum(np.abs(diff) * (b ** -k + (rho / b) ** k)))
+        diff[:, : prev.shape[-1] // 2] -= plus(prev)
+        k = np.arange(diff.shape[-1])
+        return np.sum(np.abs(diff) * (b ** -k + (rho / b) ** k), axis=-1)
 
-    return plus(_circle_fft(log_kernel, b, quad, gap))
+    spectra = _circle_fft(log_kernel, b, quad, gap, rows=len(u))
+    a = np.zeros((len(u), max(len(x) for x in spectra) // 2), dtype=complex)
+    for row, spectrum in zip(a, spectra):
+        row[: len(spectrum) // 2] = plus(spectrum)
+    return a
 
 
 def _check_u(u, cert: RadiusCertificate):
-    if abs(u) > cert.v * (1.0 + 1e-12):
-        raise ValueError(f"|u| = {abs(u)} exceeds the certificate cap v = {cert.v}")
+    top = float(np.max(np.abs(u)))
+    if top > cert.v * (1.0 + 1e-12):
+        raise ValueError(f"|u| = {top} exceeds the certificate cap v = {cert.v}")
 
 
 def pollaczek_eval(
@@ -206,7 +229,8 @@ def pollaczek_eval(
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
     if np.any(np.abs(z_arr) > cert.b - 1e-6):
         raise ValueError(f"|z| must be <= b - 1e-6 with b = {cert.b}")
-    a = _plus_part(dist, u, cert, quad, rho=max(1.0, float(np.max(np.abs(z_arr)))))
+    rho = max(1.0, float(np.max(np.abs(z_arr))))
+    a = _plus_part(dist, np.array([u]), cert, quad, rho)[0]
     k_max = len(a) - 1
     inv_b = np.cumprod(np.full(k_max, 1.0 / cert.b))
     ratios = np.broadcast_to((z_arr / cert.b)[:, None], (z_arr.size, k_max))
@@ -218,24 +242,30 @@ def pollaczek_eval(
 
 def pollaczek_unit_grid(
     dist: IncrementDistribution,
-    u: complex,
+    u,
     nz: int,
     cert: RadiusCertificate,
     quad: CircleQuadrature,
 ) -> np.ndarray:
     """F(u, w_j) at the nz-th roots of unity w_j = exp(2 pi i j / nz).
 
+    u is a scalar or an ndarray; the result has shape u.shape + (nz,).
     E(w_j) = sum_k c_k - sum_r C_r w_j^r with C_r = sum_{k = r mod nz} c_k,
     so folding the c_k and one inverse FFT give every node at once; E(1) is
     set to its exact value 0.
     """
     _check_u(u, cert)
-    a = _plus_part(dist, u, cert, quad, rho=1.0)
-    c = a * cert.b ** -np.arange(len(a))
-    folded = np.pad(c, (0, -len(c) % nz)).reshape(-1, nz).sum(axis=0)
-    exponent = c.sum() - nz * np.fft.ifft(folded)
-    exponent[0] = 0.0
-    return np.exp(exponent) * (1.0 / (1.0 - u))
+    u_arr = np.asarray(u)
+    a = _plus_part(dist, u_arr.reshape(-1), cert, quad, rho=1.0)
+    c = a * cert.b ** -np.arange(a.shape[-1])
+    folded = np.pad(c, ((0, 0), (0, -c.shape[-1] % nz)))
+    folded = folded.reshape(len(c), -1, nz).sum(axis=1)
+    exponent = c.sum(axis=-1, keepdims=True) - nz * np.fft.ifft(folded)
+    exponent[:, 0] = 0.0
+    # a scalar u divides in its own arithmetic, as in pollaczek_eval, so
+    # F(u, 1) is 1 / (1 - u) to the bit
+    values = np.exp(exponent).reshape(u_arr.shape + (nz,))
+    return values * np.expand_dims(1.0 / (1.0 - u), -1)
 
 
 def verify_coeff_identity(

@@ -158,12 +158,13 @@ class TestHalfCircle:
         nz = cli._next_pow2(max(cfg.n_max * d.support_growth, cfg.m_max) + 1)
         u_nodes = cfg.u_radius * np.exp(2j * np.pi * np.arange(nu) / nu)
         z_nodes = np.exp(2j * np.pi * np.arange(nz) / nz)
-        samples = np.array([evaluator(u, z_nodes) for u in u_nodes])
+        samples = evaluator(u_nodes, z_nodes)
         coeffs = np.fft.fft2(samples)[: cfg.n_max + 1, : cfg.m_max + 1] / (nu * nz)
         return np.real(coeffs) * (cfg.u_radius ** -np.arange(cfg.n_max + 1))[:, None]
 
     @staticmethod
     def _evaluators(d, cfg):
+        # array evaluators: every u node in one call, one row per node
         cert = rw.contour.choose_outer_radius(d, cfg.v)
         quad = rw.contour.CircleQuadrature()
         return {
@@ -176,8 +177,9 @@ class TestHalfCircle:
         calls = []
         evaluator = self._evaluators(d, self.CFG)["product"]
         cli._invert_transform(lambda u, z: calls.append(u) or evaluator(u, z), d, self.CFG)
-        assert len(calls) == 64 // 2 + 1
-        assert all(np.imag(u) >= 0 for u in calls)
+        assert len(calls) == 1
+        assert len(calls[0]) == 64 // 2 + 1
+        assert all(np.imag(u) >= 0 for u in calls[0])
 
     @pytest.mark.parametrize("law", ["geometric", "poisson"])
     @pytest.mark.parametrize("method", ["product", "pollaczek"])
@@ -274,6 +276,21 @@ class TestRendering:
         assert text == "\n".join(want) + "\n"
         assert "0,0,spitzer,-0.0" in text and "0,1,spitzer,5e-324" in text
         assert "0,2,spitzer,1e-300" in text
+
+    def test_json_matches_per_cell_formula(self):
+        # the same cells as the CSV test, each as _format_float writes it
+        rng = np.random.default_rng(3)
+        probs = rng.random((4, 7)) * 10.0 ** rng.integers(-320, 1, (4, 7))
+        probs[0, :4] = [-0.0, 5e-324, 1e-300, 2.5e-310]
+        overflow = np.array([0.0, -0.0, 5e-324, 2.5e-310])
+        tables = {"dp": rw.DistributionTable(probs, "dp", [True, False, True, True], overflow)}
+        report = cli.AgreementReport([], [], {})
+        payload = json.loads(cli.render_json(cli.RunResult(tables, report)))["tables"]["dp"]
+        assert payload["probs"] == [
+            [cli._format_float(probs[n, m]) for m in range(7)] for n in range(4)
+        ]
+        assert payload["overflow"] == [cli._format_float(x) for x in overflow]
+        assert payload["probs"][0][:4] == ["-0.0", "5e-324", "1e-300", "2.5e-310"]
 
     def test_json_round_trips(self):
         result = cli.run(cli.parse_config(SIMPLE_CONFIG))

@@ -10,6 +10,7 @@ from reflectedwalk.contour import (
     QuadratureError,
     RadiusSearchError,
     _circle,
+    _plus_part,
     pollaczek_unit_grid,
 )
 
@@ -32,6 +33,12 @@ class TestCircleQuadrature:
     def test_no_doublings_rejected(self):
         with pytest.raises(ValueError, match="max_doublings"):
             rw.CircleQuadrature(max_doublings=0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, float("inf"), float("nan")])
+    def test_invalid_tol_rejected(self, tol):
+        # inf would pass every gap at once, nan none: neither is a tolerance
+        with pytest.raises(ValueError, match="tol"):
+            rw.CircleQuadrature(tol=tol)
 
 
 class TestChooseOuterRadius:
@@ -214,6 +221,53 @@ class TestPlusPart:
         roots = rw.find_kernel_roots(d, 0.4)
         pl = rw.pollaczek_eval(d, 0.4, z, cert, quad)
         assert abs(pl - rw.product_eval(d, 0.4, z, roots)) <= 1e-9
+
+
+class TestBatchedPlusPart:
+    """An array of u is one plus-part FFT per node count, row by row."""
+
+    NODES = 0.5 * np.exp(2j * np.pi * np.arange(33) / 64)
+
+    @pytest.mark.parametrize("law", sorted(STANDARD))
+    def test_unit_grid_rows_match_scalar_calls(self, law, quad):
+        d = STANDARD[law]
+        cert = rw.choose_outer_radius(d, 0.75)
+        grid = pollaczek_unit_grid(d, self.NODES, 32, cert, quad)
+        assert grid.shape == (len(self.NODES), 32)
+        for k, u in enumerate(self.NODES):
+            one = pollaczek_unit_grid(d, u, 32, cert, quad)
+            assert np.max(np.abs(grid[k] - one)) <= 1e-15
+
+    @pytest.mark.parametrize("law", ["simple-walk", "poisson"])
+    def test_rows_converge_at_their_own_node_count(self, law):
+        # from 16 nodes, u = 0.05, 0.3 and 0.7 stop at different counts
+        d = STANDARD[law]
+        cert = rw.choose_outer_radius(d, 0.75)
+        quad = rw.CircleQuadrature(nodes=16)
+        us = np.array([0.05, 0.3, 0.7])
+        alone = [_plus_part(d, us[k : k + 1], cert, quad, 1.0)[0] for k in range(len(us))]
+        assert len({len(a) for a in alone}) > 1
+        batch = _plus_part(d, us, cert, quad, 1.0)
+        assert batch.shape[-1] == max(len(a) for a in alone)
+        for row, a in zip(batch, alone):
+            np.testing.assert_array_equal(row[: len(a)], a)
+            assert not np.any(row[len(a) :])
+        grid = pollaczek_unit_grid(d, us, 64, cert, quad)
+        for k, u in enumerate(us):
+            assert np.max(np.abs(grid[k] - pollaczek_unit_grid(d, u, 64, cert, quad))) <= 1e-15
+
+    def test_batch_with_one_starved_row_raises(self, simple):
+        # u = 0 converges at once (L = 0); u = 0.6 cannot in one doubling
+        cert = rw.choose_outer_radius(simple, 0.75)
+        starved = rw.CircleQuadrature(nodes=16, max_doublings=1, tol=1e-15)
+        assert not np.any(pollaczek_unit_grid(simple, 0.0, 64, cert, starved) - 1.0)
+        with pytest.raises(QuadratureError, match="doubling"):
+            pollaczek_unit_grid(simple, np.array([0.0, 0.6]), 64, cert, starved)
+
+    def test_cap_checked_for_every_u(self, simple, quad):
+        cert = rw.choose_outer_radius(simple, 0.5)
+        with pytest.raises(ValueError, match="cap"):
+            pollaczek_unit_grid(simple, np.array([0.1, 0.7j]), 32, cert, quad)
 
 
 class TestVerifyCoeffIdentity:

@@ -5,6 +5,8 @@ import reflectedwalk as rw
 from reflectedwalk import kernel
 from reflectedwalk.kernel import _polish, kernel_deriv_eval, kernel_eval
 
+from conftest import standard_distributions
+
 # complex u on the inversion circle and inside it, both half planes
 COMPLEX_US = (0.5 * np.exp(0.3j), 0.5 * np.exp(2.5j), 0.9 * np.exp(-1.2j), 0.3j)
 
@@ -24,6 +26,18 @@ def _polish_one(dist, u, z):
             break
         z, res = cand, cand_res
     return z
+
+
+def _outer_root(simple, u):
+    """The simple walk's kernel root outside the unit disk at u."""
+    true_roots = np.roots(kernel.kernel_coeffs(simple, u)[::-1])
+    return complex(true_roots[np.abs(true_roots) > 1][0])
+
+
+def _fake_eigvals(monkeypatch, rows):
+    """Make the stacked companion solve return `rows`, one per matrix."""
+    rows = np.array(rows, dtype=complex, ndmin=2)
+    monkeypatch.setattr(np.linalg, "eigvals", lambda stack: rows)
 
 
 def _assert_conjugate_sets(a, b, atol):
@@ -91,16 +105,13 @@ class TestFindKernelRoots:
         # kernel -w^2/4 + w - 1/4 at u = 0.5: roots 2 -+ sqrt(3); move the
         # in-disk eigenvalue to |z| > 1 + POLISH_BAND, where Newton from it
         # would reach the true root, so the count must come up short
-        true_roots = np.roots(kernel.kernel_coeffs(simple, 0.5)[::-1])
-        outer = true_roots[np.abs(true_roots) > 1]
+        outer = _outer_root(simple, 0.5)
         nudged = 1.0 + 1.5 * kernel.POLISH_BAND
-        monkeypatch.setattr(np, "roots", lambda c: np.append(outer, nudged))
+        _fake_eigvals(monkeypatch, [outer, nudged])
         with pytest.raises(rw.KernelRootError, match="expected 1 in-disk roots, found 0"):
             rw.find_kernel_roots(simple, 0.5)
         # the same start inside the band is polished into the disk
-        monkeypatch.setattr(
-            np, "roots", lambda c: np.append(outer, 1.0 + 0.5 * kernel.POLISH_BAND)
-        )
+        _fake_eigvals(monkeypatch, [outer, 1.0 + 0.5 * kernel.POLISH_BAND])
         rs = rw.find_kernel_roots(simple, 0.5)
         assert rs.roots[0] == pytest.approx(2.0 - np.sqrt(3.0), abs=1e-12)
 
@@ -119,6 +130,80 @@ class TestFindKernelRoots:
         rs = rw.find_kernel_roots(d, u)
         assert len(rs) == 9
         assert rs.max_modulus < 1.0
+
+
+class TestBatchedRoots:
+    """An array of u is one stacked solve whose rows are the scalar calls."""
+
+    LAWS = dict(standard_distributions(), heavy=rw.make_family("poisson", 15, lam=14.0))
+    # the upper-half inversion nodes at |u| = 0.5, and two lower-half points
+    NODES = np.append(0.5 * np.exp(2j * np.pi * np.arange(33) / 64), [0.3 - 0.4j, -0.2j])
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_rows_match_scalar_calls(self, law):
+        d = self.LAWS[law]
+        batch = rw.find_kernel_roots(d, self.NODES)
+        assert batch.roots.shape == batch.residuals.shape == (len(self.NODES), d.s)
+        assert len(batch) == d.s
+        moduli = []
+        for k, u in enumerate(self.NODES):
+            one = rw.find_kernel_roots(d, u)
+            np.testing.assert_array_equal(batch.roots[k], one.roots)
+            np.testing.assert_array_equal(batch.residuals[k], one.residuals)
+            moduli.append(one.max_modulus)
+        assert batch.max_modulus == max(moduli)
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_stacked_solve_matches_np_roots(self, law):
+        # np.roots, one u at a time, is the reference for every row,
+        # u = 0 included; the inf padding of short rows is no root
+        d = self.LAWS[law]
+        coeffs = kernel.kernel_coeffs(d, np.append(self.NODES, 0.0))
+        cand = kernel._companion_roots(coeffs)
+        for row, c in zip(cand, coeffs):
+            np.testing.assert_array_equal(row[np.isfinite(row)], np.roots(c[::-1]))
+
+    def test_u_zero_and_roots_at_origin_in_a_batch(self, dists):
+        # u = 0 strips both ends of the kernel's coefficients, and P(A=0) = 0
+        # its low end at every u: such rows are solved apart, same results
+        us = np.array([0.0, 0.3, 0.5j, 0.0])
+        for d in dists.values():
+            batch = rw.find_kernel_roots(d, us)
+            for k, u in enumerate(us):
+                np.testing.assert_array_equal(batch.roots[k], rw.find_kernel_roots(d, u).roots)
+            np.testing.assert_allclose(batch.roots[0], 0.0, atol=1e-12)
+
+    def test_batch_names_the_failing_u(self, simple, monkeypatch):
+        # the count check of test_roots_just_outside_band_are_not_polished,
+        # failing in the middle row of a batch only
+        us = np.array([0.5, 0.4, 0.3])
+        inside = 1.0 + 0.5 * kernel.POLISH_BAND
+        rows = [[_outer_root(simple, u), inside] for u in us]
+        rows[1][1] = 1.0 + 1.5 * kernel.POLISH_BAND
+        _fake_eigvals(monkeypatch, rows)
+        with pytest.raises(rw.KernelRootError, match=r"found 0 at u=0\.4;"):
+            rw.find_kernel_roots(simple, us)
+        rows[1][1] = inside
+        _fake_eigvals(monkeypatch, rows)
+        rs = rw.find_kernel_roots(simple, us)
+        np.testing.assert_allclose(rs.roots[:, 0], (1 - np.sqrt(1 - us**2)) / us, atol=1e-12)
+
+    def test_u_outside_disk_rejected(self, simple):
+        with pytest.raises(ValueError, match="< 1"):
+            rw.find_kernel_roots(simple, np.array([0.5, 1.0]))
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_product_rows_match_scalar_calls(self, law):
+        d = self.LAWS[law]
+        zs = np.exp(2j * np.pi * np.arange(16) / 16) * 0.9
+        batch = rw.find_kernel_roots(d, self.NODES)
+        grid = rw.product_eval(d, self.NODES, zs, batch)
+        assert grid.shape == (len(self.NODES), len(zs))
+        column = rw.product_eval(d, self.NODES, 0.5, batch)
+        for k, u in enumerate(self.NODES):
+            one = rw.find_kernel_roots(d, u)
+            np.testing.assert_array_equal(grid[k], rw.product_eval(d, u, zs, one))
+            assert column[k] == rw.product_eval(d, u, 0.5, one)
 
 
 class TestProductEval:

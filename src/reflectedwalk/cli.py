@@ -9,15 +9,12 @@ line, ``#`` comments).  Recognized keys:
     tail_tol  tail truncation tolerance (default 1e-14, capped there)
     methods   comma-separated subset of dp, spitzer, product, pollaczek
     n_max, m_max   grid bounds (defaults 12, 12)
-    u_radius  inversion circle radius for transform methods (default 0.5)
-    v         operating cap on |u| for the outer-radius certificate, in (0, 1)
-              (default 0.75)
-    tolerance           pairwise agreement tolerance (default 1e-9)
-    tol_functional, tol_numerator, tol_coeff, tol_logres   per-check overrides
-              (every tolerance a positive finite number)
+    tolerance pairwise agreement tolerance, positive and finite (default 1e-9)
     format    csv | json (default csv)
     output    destination path (CLI flag overrides)
     verbose   true | false
+
+The u circle comes from n_max (u_circle); check tolerances are CHECK_TOL.
 
 Exit status is 0 iff every agreement pair and every structural check passes.
 """
@@ -39,6 +36,10 @@ ALL_METHODS = ("dp", "spitzer", "product", "pollaczek")
 # unit-circle points for the functional-equation check: |z^-s| = 1 there,
 # so the check does not amplify roundoff
 FUNCTIONAL_Z_GRID = np.exp(1j * np.array([0.0, 1.0, 2.0, np.pi]))
+CHECK_TOL = {"functional-equation": 1e-11, "numerator": 1e-9,
+             "coefficient-identity": 1e-10, "log-residue": 1e-8}
+# relative accuracy assumed for one evaluation of F(u, z)
+ETA = 1e-15
 
 
 class ConfigError(ValueError):
@@ -54,13 +55,7 @@ class RunConfig:
     methods: tuple = DEFAULT_METHODS
     n_max: int = 12
     m_max: int = 12
-    u_radius: float = 0.5
-    v: float = 0.75
     tolerance: float = 1e-9
-    tol_functional: float = 1e-11
-    tol_numerator: float = 1e-9
-    tol_coeff: float = 1e-10
-    tol_logres: float = 1e-8
     format: str = "csv"
     output: str | None = None
     verbose: bool = False
@@ -174,11 +169,8 @@ _KEYS = {
     "n": (_int, "param"),
     "lam": (_float, "param"),
     "probs": (_parse_probs, "param"),
-    **{key: (_float, "field") for key in ("tail_tol", "u_radius", "v")},
-    **{
-        key: (_positive, "field")
-        for key in ("tolerance", "tol_functional", "tol_numerator", "tol_coeff", "tol_logres")
-    },
+    "tail_tol": (_float, "field"),
+    "tolerance": (_positive, "field"),
     "n_max": (_int, "field"),
     "m_max": (_int, "field"),
     "methods": (_parse_methods, "field"),
@@ -216,10 +208,6 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(
             f"tail_tol {cfg.tail_tol!r} exceeds the cap {dist_mod.MAX_TAIL_TOL}"
         )
-    if not 0 < cfg.u_radius < 1:
-        raise ConfigError("u_radius must lie in (0, 1)")
-    if not 0 < cfg.v < 1:
-        raise ConfigError("v must lie in (0, 1)")
     if cfg.n_max < 0 or cfg.m_max < 0:
         raise ConfigError("n_max and m_max must be >= 0")
     return cfg
@@ -231,10 +219,29 @@ def load_config(path: str) -> RunConfig:
 
 
 def _next_pow2(n: int) -> int:
-    p = 16
-    while p < n:
-        p *= 2
-    return p
+    """The smallest power of two >= max(16, n)."""
+    return max(16, 1 << (n - 1).bit_length())
+
+
+def u_circle(n_max: int) -> tuple:
+    """Node count nu and radius r of the u circle that inverts rows n <= n_max.
+
+    nu is the smallest power of two >= max(16, 4 (n_max + 1)); r solves
+    r^nu = ETA r^-n_max, balancing the two error terms of Abate & Whitt
+    (Oper. Res. Lett. 12, 1992).  As every P(M_n = m) is in [0, 1] and
+    |F(u, z)| <= 1 / (1 - r) on |u| = r, |z| = 1, a cell is off by at most
+    r^nu / (1 - r^nu) (aliasing) + ETA r^-n_max / (1 - r) (roundoff,
+    amplified by r^-n) = u_circle_bound: 6.2e-13 at n_max = 6, 7.5e-12 at
+    60, 1.0e-11 at 200, and at most 1.9e-11 up to 200 (at 127, before nu doubles).
+    """
+    nu = _next_pow2(4 * (n_max + 1))
+    return nu, ETA ** (1.0 / (nu + n_max))
+
+
+def u_circle_bound(n_max: int) -> float:
+    """The per-cell error bound of the u inversion on u_circle(n_max)."""
+    nu, r = u_circle(n_max)
+    return r**nu / (1.0 - r**nu) + ETA * r**-n_max / (1.0 - r)
 
 
 def _table(d, cfg: RunConfig, probs, method: str) -> oracle.DistributionTable:
@@ -257,9 +264,9 @@ def _invert_transform(evaluator, d, cfg: RunConfig) -> np.ndarray:
     for the kernel roots at every u node, and the Pollaczek route one
     plus-part FFT per node count, each u row doubling its node count
     until its own gap converges.  nz exceeds both the full support of
-    M_{n_max} and m_max, so the z inversion is alias-free; the u circle's
-    aliasing is bounded by u_radius^{n_nodes} / (1 - u_radius).  Both
-    extractions are one 2-D FFT, the u axis rescaled by u_radius^{-n}.
+    M_{n_max} and m_max, so the z inversion is alias-free; the u circle
+    |u| = r with nu nodes comes from u_circle, whose docstring bounds its
+    error.  Both extractions are one 2-D FFT, the u axis rescaled by r^-n.
 
     The law is real, so F(conj u, conj z) = conj F(u, z): the evaluator gets
     only the u nodes k = 0 .. nu/2, where Im u >= 0, and row nu - k is
@@ -267,9 +274,8 @@ def _invert_transform(evaluator, d, cfg: RunConfig) -> np.ndarray:
     conj z_j = z_{-j}.
     """
     n_max, m_max = cfg.n_max, cfg.m_max
-    nu = _next_pow2(max(2 * (n_max + 1), 64))
+    nu, r_u = u_circle(n_max)
     nz = _next_pow2(max(n_max * d.support_growth, m_max) + 1)
-    r_u = cfg.u_radius
     half = nu // 2
     u_nodes = r_u * np.exp(2j * np.pi * np.arange(half + 1) / nu)
     z_nodes = np.exp(2j * np.pi * np.arange(nz) / nz)
@@ -332,31 +338,28 @@ def _compare_tables(tables: dict, methods, tol: float) -> list:
     return pairs
 
 
-def _structural_checks(d, cfg: RunConfig, dp_table, cert) -> list:
+def _checked(name: str, res: float) -> CheckResult:
+    tol = CHECK_TOL[name]
+    return CheckResult(name, res, tol, res <= tol)
+
+
+def _structural_checks(d, dp_table, cert) -> list:
     checks = []
     # one-step functional equation at every complete row pair, on |z| = 1
     complete = dp_table.complete_rows
     rows = np.flatnonzero(complete[:-1] & complete[1:])
     res = oracle.functional_equation_check(d, dp_table, rows, FUNCTIONAL_Z_GRID)
-    res = float(np.max(res, initial=0.0))
-    checks.append(
-        CheckResult("functional-equation", res, cfg.tol_functional, res <= cfg.tol_functional)
-    )
+    checks.append(_checked("functional-equation", float(np.max(res, initial=0.0))))
     # numerator polynomial annihilated by the kernel roots; the u = 0.5 roots
     # also place the log-residue radii below
     roots = {u: kernel.find_kernel_roots(d, u) for u in (0.25, 0.5)}
-    res = max(
-        oracle.numerator_check(d, u, rs, tol=cfg.tol_numerator) for u, rs in roots.items()
-    )
-    checks.append(
-        CheckResult("numerator", res, cfg.tol_numerator, res <= cfg.tol_numerator)
-    )
+    res = max(oracle.numerator_check(d, u, rs, CHECK_TOL["numerator"]) for u, rs in roots.items())
+    checks.append(_checked("numerator", res))
     # Cauchy coefficient identity on a small (l, k) grid; a run without the
     # contour method skips it when no outer radius is admissible
+    name = "coefficient-identity"
     if isinstance(cert, contour.RadiusSearchError):
-        checks.append(
-            CheckResult("coefficient-identity", math.nan, cfg.tol_coeff, False, str(cert))
-        )
+        checks.append(CheckResult(name, math.nan, CHECK_TOL[name], False, str(cert)))
     else:
         quad = contour.CircleQuadrature()
         k = np.array([1, 3])
@@ -364,19 +367,13 @@ def _structural_checks(d, cfg: RunConfig, dp_table, cert) -> list:
         for l in (1, 2, 4):
             integral, pmf = contour.verify_coeff_identity(d, l, k, cert, quad)
             res = max(res, float(np.max(np.abs(integral - pmf))))
-        checks.append(
-            CheckResult("coefficient-identity", res, cfg.tol_coeff, res <= cfg.tol_coeff)
-        )
-    # logarithmic residue of the kernel at u = 0.5
-    u, max_modulus = 0.5, roots[0.5].max_modulus
+        checks.append(_checked(name, res))
+    # logarithmic residue of the kernel at u = 0.5, on radii between the
+    # largest root (below 1 - 1e-12) and 1
+    max_modulus = roots[0.5].max_modulus
     z = 0.5 * (max_modulus + 1.0)
-    a = 0.5 * (max_modulus + z)
-    if max_modulus < a < z:
-        lhs, rhs = kernel.root_logresidue_check(d, u, z, a, nodes=2048)
-        res = abs(lhs - rhs)
-    else:  # pragma: no cover - radii always order for valid inputs
-        res = float("inf")
-    checks.append(CheckResult("log-residue", res, cfg.tol_logres, res <= cfg.tol_logres))
+    lhs, rhs = kernel.root_logresidue_check(d, 0.5, z, 0.5 * (max_modulus + z), nodes=2048)
+    checks.append(_checked("log-residue", abs(lhs - rhs)))
     return checks
 
 
@@ -388,16 +385,18 @@ def run(config: RunConfig) -> RunResult:
     if comparisons and "dp" not in methods:
         methods = ("dp",) + methods
     # one radius search serves the pollaczek table, the coefficient-identity
-    # check and the report; a run without comparisons needs none
+    # check and the report; a run without comparisons needs none.  Its
+    # certificate only has to cover the u circle the inversion samples.
+    nu, r_u = u_circle(config.n_max)
     cert = None
     if comparisons:
         try:
-            cert = contour.choose_outer_radius(d, config.v)
+            cert = contour.choose_outer_radius(d, r_u)
         except contour.RadiusSearchError as exc:
             cert = exc
     tables = _compute_tables(d, config, methods, cert)
     pairs = _compare_tables(tables, methods, config.tolerance) if comparisons else []
-    checks = _structural_checks(d, config, tables["dp"], cert) if comparisons else []
+    checks = _structural_checks(d, tables["dp"], cert) if comparisons else []
     if cert is None:
         cert_info = {}
     elif isinstance(cert, contour.RadiusSearchError):
@@ -411,7 +410,7 @@ def run(config: RunConfig) -> RunResult:
         "truncation_defect": d.truncation_defect,
         "n_max": config.n_max,
         "m_max": config.m_max,
-        "u_radius": config.u_radius,
+        "u_circle": {"radius": r_u, "nodes": nu, "bound": u_circle_bound(config.n_max)},
         "radius_certificate": cert_info,
         "methods": list(methods),
     }

@@ -219,8 +219,9 @@ def root_logresidue_check(
     lhs = complex(np.sum(np.log((z - roots.roots) / (1.0 - roots.roots))))
     w = a * np.exp(2j * np.pi * np.arange(nodes) / nodes)
     kw = kernel_eval(dist, u, w)
-    if np.min(np.abs(kw)) < 1e-12:
-        raise ValueError("kernel modulus below 1e-12 on the contour |w| = a")
+    # relative to the term moduli |w|^s + u A(|w|), as A has nonnegative coefficients
+    if np.min(np.abs(kw)) < 1e-12 * (a**dist.s + u * pgf_eval(dist, a)):
+        raise ValueError("kernel modulus below 1e-12 of its scale on the contour |w| = a")
     integrand = np.log((z - w) / (1.0 - w)) * kernel_deriv_eval(dist, u, w) / kw
     rhs = complex(np.mean(integrand * w))
     return lhs.real, rhs.real

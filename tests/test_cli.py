@@ -1,6 +1,8 @@
 import json
+import re
 from collections import defaultdict
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,14 +50,26 @@ class TestParseConfig:
             ("family = explicit\nprobs = 1\ns = 1\ns = 2\n", "duplicate"),
             ("family = explicit\nprobs = 1\ns = 1\ntolerance = -1\n", "'tolerance'"),
             ("family = explicit\nprobs = 1\ns = 1\ntolerance = nan\n", "'tolerance'"),
-            ("family = explicit\nprobs = 1\ns = 1\ntol_coeff = 0\n", "'tol_coeff'"),
-            ("family = explicit\nprobs = 1\ns = 1\ntol_logres = inf\n", "'tol_logres'"),
-            ("family = explicit\nprobs = 1\ns = 1\nv = 1.5\n", "v must"),
+            ("family = explicit\nprobs = 1\ns = 1\ntol_coeff = 0\n", "unknown key 'tol_coeff'"),
+            ("family = explicit\nprobs = 1\ns = 1\ntol_logres = inf\n", "unknown key 'tol_logres'"),
+            ("family = explicit\nprobs = 1\ns = 1\nv = 1.5\n", "unknown key 'v'"),
+            ("family = explicit\nprobs = 1\ns = 1\nu_radius = 0.5\n", "unknown key 'u_radius'"),
+            ("family = explicit\nprobs = 1\ns = 1\ntol_functional = 1\n", "unknown key"),
+            ("family = explicit\nprobs = 1\ns = 1\ntol_numerator = 1\n", "unknown key"),
         ],
     )
     def test_errors_carry_diagnostics(self, text, match):
         with pytest.raises(cli.ConfigError, match=match):
             cli.parse_config(text)
+
+    def test_readme_lists_the_optional_keys(self):
+        # the keys after "# optional:" in the README's config block are the
+        # parser's RunConfig keys other than the required family and s
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        listed = re.search(r"^# optional: (.*?)\n```", readme, re.S | re.M).group(1)
+        listed = set(re.split(r"[\s,#]+", listed)) - {""}
+        fields = {key for key, (_, target) in cli._KEYS.items() if target == "field"}
+        assert listed == fields - {"family", "s"}
 
     def test_loose_tail_tolerance_rejected(self):
         text = "family = geometric\np = 0.5\ns = 1\ntail_tol = 1e-2\n"
@@ -154,18 +168,18 @@ class TestHalfCircle:
     @staticmethod
     def _full_circle(evaluator, d, cfg):
         # the reference: every u node evaluated, no symmetry used
-        nu = cli._next_pow2(max(2 * (cfg.n_max + 1), 64))
+        nu, r = cli.u_circle(cfg.n_max)
         nz = cli._next_pow2(max(cfg.n_max * d.support_growth, cfg.m_max) + 1)
-        u_nodes = cfg.u_radius * np.exp(2j * np.pi * np.arange(nu) / nu)
+        u_nodes = r * np.exp(2j * np.pi * np.arange(nu) / nu)
         z_nodes = np.exp(2j * np.pi * np.arange(nz) / nz)
         samples = evaluator(u_nodes, z_nodes)
         coeffs = np.fft.fft2(samples)[: cfg.n_max + 1, : cfg.m_max + 1] / (nu * nz)
-        return np.real(coeffs) * (cfg.u_radius ** -np.arange(cfg.n_max + 1))[:, None]
+        return np.real(coeffs) * (r ** -np.arange(cfg.n_max + 1))[:, None]
 
     @staticmethod
     def _evaluators(d, cfg):
         # array evaluators: every u node in one call, one row per node
-        cert = rw.contour.choose_outer_radius(d, cfg.v)
+        cert = rw.contour.choose_outer_radius(d, cli.u_circle(cfg.n_max)[1])
         quad = rw.contour.CircleQuadrature()
         return {
             "product": lambda u, z: rw.product_eval(d, u, z, rw.find_kernel_roots(d, u)),
@@ -178,7 +192,7 @@ class TestHalfCircle:
         evaluator = self._evaluators(d, self.CFG)["product"]
         cli._invert_transform(lambda u, z: calls.append(u) or evaluator(u, z), d, self.CFG)
         assert len(calls) == 1
-        assert len(calls[0]) == 64 // 2 + 1
+        assert len(calls[0]) == 32 // 2 + 1
         assert all(np.imag(u) >= 0 for u in calls[0])
 
     @pytest.mark.parametrize("law", ["geometric", "poisson"])
@@ -188,7 +202,59 @@ class TestHalfCircle:
         evaluator = self._evaluators(d, self.CFG)[method]
         half = cli._invert_transform(evaluator, d, self.CFG)
         full = self._full_circle(evaluator, d, self.CFG)
-        np.testing.assert_allclose(half, full, rtol=0, atol=1e-14)
+        # 1e-14 on the circle |u| = 1/2: row n is rescaled by r^-n, so the
+        # same sample-level agreement reads 1e-14 (1/2 / r)^n on |u| = r
+        r = cli.u_circle(self.CFG.n_max)[1]
+        atol = 1e-14 * (0.5 / r) ** np.arange(self.CFG.n_max + 1)
+        assert np.all(np.abs(half - full) <= atol[:, None])
+
+
+class TestUCircle:
+    """The u circle comes from n_max, with a per-cell error bound."""
+
+    def test_contract(self):
+        for n_max in range(201):
+            nu, r = cli.u_circle(n_max)
+            need = max(16, 4 * (n_max + 1))
+            assert nu & (nu - 1) == 0 and need <= nu < 2 * need
+            assert 0 < r < 1
+        bounds = [cli.u_circle_bound(n_max) for n_max in range(201)]
+        # largest at n_max = 127, the last row count before nu doubles
+        assert max(bounds) == bounds[127] <= 2e-11
+        assert bounds[6] <= 6.3e-13 and bounds[60] <= 7.6e-12 and bounds[200] <= 1.1e-11
+
+    @staticmethod
+    def _within_bound(result):
+        assert result.report.all_passed, cli.render_report_text(result.report)
+        env = result.report.environment
+        bound = env["u_circle"]["bound"]
+        assert bound == cli.u_circle_bound(env["n_max"])
+        transforms = [p for p in result.report.pairs
+                      if p.method_a == "dp" and p.method_b in ("product", "pollaczek")]
+        assert transforms
+        for pair in transforms:
+            assert pair.max_deviation <= bound
+
+    @pytest.mark.parametrize("n_max", [30, 40, 60])
+    def test_binomial_at_large_n_max(self, n_max):
+        # a fixed circle |u| = 0.5 with 64 nodes fails here from n_max = 30 on
+        cfg = cli.parse_config(
+            "family = binomial\nn = 3\np = 0.4\ns = 2\nmethods = dp, product, pollaczek\n"
+            f"n_max = {n_max}\nm_max = {n_max}\n"
+        )
+        self._within_bound(cli.run(cfg))
+
+    def test_poisson_at_large_n_max(self):
+        self._within_bound(cli.run(_poisson_config(14.0, 15, "dp, product", 30)))
+
+    def test_environment_reports_the_circle(self):
+        result = cli.run(cli.parse_config(SIMPLE_CONFIG))
+        env = json.loads(cli.render_json(result))["report"]["environment"]
+        nu, r = cli.u_circle(8)
+        assert env["u_circle"] == {"radius": r, "nodes": nu, "bound": cli.u_circle_bound(8)}
+        assert env["radius_certificate"]["v"] == r
+        assert "u_radius" not in env
+        assert '"u_circle"' in cli.render_report_text(result.report, verbose=True)
 
 
 def _poisson_config(lam, s, methods, n_max, m_max=None):
@@ -222,8 +288,10 @@ class TestHeavyTraffic:
         assert result.report.all_passed
 
     def test_contour_check_skipped_without_radius(self):
-        # positive drift: no admissible outer radius, and no contour method asked
-        cfg = _poisson_config(60.0, 50, "dp, spitzer", 6)
+        # positive drift: no admissible outer radius, and no contour method
+        # asked; the log-residue check runs although |k(w)| on its contour
+        # is ~1e-20, as that is not small against |w|^s + u A(|w|)
+        cfg = _poisson_config(100.0, 50, "dp, spitzer", 6)
         result = cli.run(cfg)
         check = _check(result, "coefficient-identity")
         assert check.skipped and "no admissible radius" in check.skipped
@@ -236,10 +304,17 @@ class TestHeavyTraffic:
         assert entry["skipped"] == check.skipped and entry["passed"] is False
         assert entry["residual"] is None
 
+    def test_coefficient_identity_on_the_sampled_circle(self):
+        # poisson(60), s = 50: admissible for |u| <= r = 0.403, not for 0.75
+        result = cli.run(_poisson_config(60.0, 50, "dp, spitzer", 6))
+        check = _check(result, "coefficient-identity")
+        assert check.skipped is None and check.passed
+        assert result.report.all_passed
+
     def test_pollaczek_without_radius_fails(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
         path.write_text(
-            "family = poisson\nlam = 60\ns = 50\nmethods = pollaczek\n"
+            "family = poisson\nlam = 100\ns = 50\nmethods = pollaczek\n"
             "n_max = 1\nm_max = 6\n"
         )
         assert cli.main(["--config", str(path)]) == 2
@@ -357,7 +432,7 @@ class TestMain:
     def test_failing_tolerance_nonzero_exit(self, tmp_path, capsys):
         # absurdly tight pairwise tolerance forces a FAIL flag
         cfg_path = self._write(
-            tmp_path, SIMPLE_CONFIG + "tolerance = 1e-300\ntol_functional = 1e-300\n"
+            tmp_path, SIMPLE_CONFIG + "tolerance = 1e-300\n"
         )
         assert cli.main(["--config", cfg_path, "--output", str(tmp_path / "o.csv")]) == 1
 

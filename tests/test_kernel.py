@@ -260,6 +260,18 @@ class TestLogResidueCheck:
         assert lhs == pytest.approx(np.log((0.6 - z0) / (1.0 - z0)), abs=1e-12)
         assert abs(lhs - rhs) <= 1e-10
 
+    def test_tiny_kernel_on_the_contour(self):
+        # poisson(100), s = 50 at u = 0.5: |k(w)| on |w| = a is far below
+        # 1e-12, yet close to its scale a^s + u A(a), so the check runs
+        d = rw.make_family("poisson", 50, lam=100.0)
+        top = rw.find_kernel_roots(d, 0.5).max_modulus
+        z = 0.5 * (top + 1.0)
+        a = 0.5 * (top + z)
+        w = a * np.exp(2j * np.pi * np.arange(2048) / 2048)
+        assert np.min(np.abs(kernel_eval(d, 0.5, w))) < 1e-12
+        lhs, rhs = rw.root_logresidue_check(d, 0.5, z, a, nodes=2048)
+        assert abs(lhs - rhs) <= 1e-8
+
     def test_radius_ordering_enforced(self, simple):
         with pytest.raises(ValueError, match="<"):
             rw.root_logresidue_check(simple, 0.5, 0.6, 0.7, nodes=512)

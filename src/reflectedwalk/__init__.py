@@ -29,6 +29,7 @@ from .kernel import (
     find_kernel_roots,
     product_eval,
     root_logresidue_check,
+    track_kernel_roots,
 )
 from .oracle import (
     DistributionTable,
@@ -64,6 +65,7 @@ __all__ = [
     "find_kernel_roots",
     "product_eval",
     "root_logresidue_check",
+    "track_kernel_roots",
     "DistributionTable",
     "functional_equation_check",
     "lindley_dp",

@@ -38,8 +38,6 @@ ALL_METHODS = ("dp", "spitzer", "product", "pollaczek")
 FUNCTIONAL_Z_GRID = np.exp(1j * np.array([0.0, 1.0, 2.0, np.pi]))
 CHECK_TOL = {"functional-equation": 1e-11, "numerator": 1e-9,
              "coefficient-identity": 1e-10, "log-residue": 1e-8}
-# relative accuracy assumed for one evaluation of F(u, z)
-ETA = 1e-15
 
 
 class ConfigError(ValueError):
@@ -227,21 +225,22 @@ def u_circle(n_max: int) -> tuple:
     """Node count nu and radius r of the u circle that inverts rows n <= n_max.
 
     nu is the smallest power of two >= max(16, 4 (n_max + 1)); r solves
-    r^nu = ETA r^-n_max, balancing the two error terms of Abate & Whitt
-    (Oper. Res. Lett. 12, 1992).  As every P(M_n = m) is in [0, 1] and
-    |F(u, z)| <= 1 / (1 - r) on |u| = r, |z| = 1, a cell is off by at most
-    r^nu / (1 - r^nu) (aliasing) + ETA r^-n_max / (1 - r) (roundoff,
-    amplified by r^-n) = u_circle_bound: 6.2e-13 at n_max = 6, 7.5e-12 at
-    60, 1.0e-11 at 200, and at most 1.9e-11 up to 200 (at 127, before nu doubles).
+    r^nu = ETA r^-n_max (ETA = kernel.ETA), balancing the two error terms
+    of Abate & Whitt (Oper. Res. Lett. 12, 1992).  As every P(M_n = m) is
+    in [0, 1] and |F(u, z)| <= 1 / (1 - r) on |u| = r, |z| = 1, a cell is
+    off by at most r^nu / (1 - r^nu) (aliasing) + ETA r^-n_max / (1 - r)
+    (roundoff, amplified by r^-n) = u_circle_bound: 6.2e-13 at n_max = 6,
+    7.5e-12 at 60, 1.0e-11 at 200, and at most 1.9e-11 up to 200 (at 127,
+    before nu doubles).
     """
     nu = _next_pow2(4 * (n_max + 1))
-    return nu, ETA ** (1.0 / (nu + n_max))
+    return nu, kernel.ETA ** (1.0 / (nu + n_max))
 
 
 def u_circle_bound(n_max: int) -> float:
     """The per-cell error bound of the u inversion on u_circle(n_max)."""
     nu, r = u_circle(n_max)
-    return r**nu / (1.0 - r**nu) + ETA * r**-n_max / (1.0 - r)
+    return r**nu / (1.0 - r**nu) + kernel.ETA * r**-n_max / (1.0 - r)
 
 
 def _table(d, cfg: RunConfig, probs, method: str) -> oracle.DistributionTable:
@@ -297,7 +296,7 @@ def _compute_tables(d, cfg: RunConfig, methods, cert) -> dict:
     if "product" in methods:
 
         def product_evaluator(u_nodes, z_nodes):
-            roots = kernel.find_kernel_roots(d, u_nodes)
+            roots = kernel.track_kernel_roots(d, u_nodes)
             return kernel.product_eval(d, u_nodes, z_nodes, roots)
 
         probs = _invert_transform(product_evaluator, d, cfg)
@@ -350,10 +349,12 @@ def _structural_checks(d, dp_table, cert) -> list:
     rows = np.flatnonzero(complete[:-1] & complete[1:])
     res = oracle.functional_equation_check(d, dp_table, rows, FUNCTIONAL_Z_GRID)
     checks.append(_checked("functional-equation", float(np.max(res, initial=0.0))))
-    # numerator polynomial annihilated by the kernel roots; the u = 0.5 roots
-    # also place the log-residue radii below
-    roots = {u: kernel.find_kernel_roots(d, u) for u in (0.25, 0.5)}
-    res = max(oracle.numerator_check(d, u, rs, CHECK_TOL["numerator"]) for u, rs in roots.items())
+    # numerator polynomial annihilated by the kernel roots, at both u from one
+    # tracker call; the u = 0.5 roots also serve the log-residue check below
+    us = (0.25, 0.5)
+    roots = kernel.track_kernel_roots(d, np.array(us))
+    res = max(oracle.numerator_check(d, u, roots.row(k), CHECK_TOL["numerator"])
+              for k, u in enumerate(us))
     checks.append(_checked("numerator", res))
     # Cauchy coefficient identity on a small (l, k) grid; a run without the
     # contour method skips it when no outer radius is admissible
@@ -370,9 +371,11 @@ def _structural_checks(d, dp_table, cert) -> list:
         checks.append(_checked(name, res))
     # logarithmic residue of the kernel at u = 0.5, on radii between the
     # largest root (below 1 - 1e-12) and 1
-    max_modulus = roots[0.5].max_modulus
-    z = 0.5 * (max_modulus + 1.0)
-    lhs, rhs = kernel.root_logresidue_check(d, 0.5, z, 0.5 * (max_modulus + z), nodes=2048)
+    half = roots.row(1)
+    z = 0.5 * (half.max_modulus + 1.0)
+    lhs, rhs = kernel.root_logresidue_check(
+        d, 0.5, z, 0.5 * (half.max_modulus + z), nodes=2048, roots=half
+    )
     checks.append(_checked("log-residue", abs(lhs - rhs)))
     return checks
 

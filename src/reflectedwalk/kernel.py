@@ -5,15 +5,37 @@ the reflected-walk transform factors over them:
 
     F(u, z) = (1 / (z^s - u A(z))) * prod_k (z - z_k(u)) / (1 - z_k(u)).
 
-Roots are found globally via companion-matrix eigenvalues, for a whole
-array of u values at once: the companion matrices are stacked and solved by
-one eigenvalue call.  Only the eigenvalues with |z| < 1 + POLISH_BAND are
-polished, all (u, root) pairs together, by Newton steps that each root
-accepts only while they reduce its residual.  The candidates farther out
-cannot be in-disk roots: they feed only the in-disk count, which must equal
-s at every u, and are never returned, so their residuals need not be small.
-A root that the count misses still raises KernelRootError, and every
+There are two entry points.
+
+find_kernel_roots, for a scalar u or an array of them, solves globally via companion-matrix eigenvalues: the
+companion matrices of every u are stacked and solved by one eigenvalue
+call.  Only the eigenvalues with |z| < 1 + POLISH_BAND are polished, all
+(u, root) pairs together, by Newton steps that each root accepts only
+while they reduce its residual.  The candidates farther out cannot be
+in-disk roots: they feed only the in-disk count, which must equal s at
+every u, and are never returned, so their residuals need not be small.  A
+root that the count misses still raises KernelRootError, and every
 returned root still meets RESIDUAL_TOL.
+
+track_kernel_roots, for an array of u, makes that companion solve at u[0]
+only.  The roots z_k(u) are analytic in u, so it seeds every other node
+with z_k(u_0) (u/u_0)^(1/s) and runs Newton on all (u, root) pairs at
+once, each to roundoff.  A node keeps its Newton roots only if every pair
+reached that stop and a gate certifies them: all s inside the disk and
+within RESIDUAL_TOL, pairwise farther apart than twice their largest
+forward error, and sum_k delta_k 2 / (1 - |z_k|) <= ETA, where
+delta_k = eps (|z_k|^s + |u| A(|z_k|)) / |k'(z_k)| is the root's
+first-order forward error and the sum is the first-order relative error
+of F on |z| = 1.  Distinct in-disk roots, s of them, are all of them by
+Rouche.  Every other node takes one stacked find_kernel_roots call, and
+so does every node when u[0]'s own roots fail the gate.
+
+A small residual per root does not certify the product.  On poisson(45),
+s = 50, every Newton root has backward error near eps, yet F from them is
+off by ~1e-5: the roots are ill-conditioned, and only the companion
+eigenvalues are backward stable as a set, the exact roots of one nearby
+polynomial, so their errors cancel in F.  The delta sum reads 2e-5 there,
+and the gate sends that law to the companion.
 """
 
 from __future__ import annotations
@@ -28,6 +50,11 @@ IN_DISK_TOL = 1e-12        # strict in-disk selection margin
 RESIDUAL_TOL = 1e-10       # hard cap on accepted root residuals
 POLISH_TARGET = 1e-12
 POLISH_BAND = 1e-3         # polish eigenvalues with |z| < 1 + POLISH_BAND
+NEWTON_STEPS = 50          # cap on the tracker's Newton steps per root
+# relative accuracy assumed for one evaluation of F(u, z): the tracker's
+# gate admits roots only this accurate, and the u inversion's error bound
+# (cli.u_circle_bound) amplifies it
+ETA = 1e-15
 
 
 class KernelRootError(RuntimeError):
@@ -56,6 +83,11 @@ class RootSet:
 
     def __len__(self) -> int:
         return self.roots.shape[-1]
+
+    def row(self, k: int) -> "RootSet":
+        """Row k alone: the RootSet of the scalar u[k]."""
+        roots = self.roots[k]
+        return RootSet(roots, self.residuals[k], float(np.max(np.abs(roots), initial=0.0)))
 
 
 def kernel_coeffs(dist: IncrementDistribution, u) -> np.ndarray:
@@ -176,6 +208,139 @@ def find_kernel_roots(dist: IncrementDistribution, u) -> RootSet:
     )
 
 
+def _kernel_terms(dist, u, z):
+    """k(z), k'(z) and the powers z^0 .. z^max(s, J) at 1-D arrays u and z.
+
+    One table of powers and two matrix products: the tracker evaluates
+    small arrays many times, where np.polyval's loop over the coefficients
+    would cost more than the arithmetic.
+    """
+    s, j_max, p = dist.s, dist.j_max, dist.pmf_a
+    powers = np.empty((z.size, max(s, j_max) + 1), dtype=complex)
+    powers[:, 0] = 1.0
+    powers[:, 1:] = z[:, None]
+    np.cumprod(powers, axis=1, out=powers)
+    k = powers[:, s] - u * (powers[:, : j_max + 1] @ p)
+    slope = s * powers[:, s - 1] - u * (powers[:, :j_max] @ (np.arange(1, j_max + 1) * p[1:]))
+    return k, slope, powers
+
+
+def _forward_errors(dist, u, z):
+    """Residuals, forward errors and the F error bound of roots z (n, s) at u (n,).
+
+    A root with backward error eps relative to the kernel's term scale
+    |z|^s + |u| A(|z|) (A has nonnegative coefficients) moves by
+    delta = eps scale / |k'(z)|.  A zero slope (a multiple root) gives inf,
+    and so does a zero scale: a root at the origin when A(0) = 0 or u = 0,
+    where delta would read 0 and a second Newton pair drawn to the same
+    root, ending at 0 or underflowing next to it, would pass the separation
+    test.  The bound is sum_k delta_k 2 / (1 - |z_k|) per row, inf for a
+    root outside the disk: the first-order relative change of F on |z| = 1,
+    as |z - z_k| and |1 - z_k| are >= 1 - |z_k| there.
+    """
+    uu = np.repeat(u, dist.s)
+    k, slope, powers = _kernel_terms(dist, uu, z.reshape(-1))
+    a_abs = np.abs(powers[:, : dist.j_max + 1]) @ dist.pmf_a  # A(|z|)
+    scale = np.abs(powers[:, dist.s]) + np.abs(uu) * a_abs
+    eps = np.finfo(float).eps
+    delta = np.divide(eps * scale, np.abs(slope), out=np.full(scale.shape, np.inf),
+                      where=(slope != 0) & (scale != 0)).reshape(z.shape)
+    gap = 1.0 - np.abs(z)
+    weighted = np.divide(2.0 * delta, gap, out=np.full(z.shape, np.inf), where=gap > 0)
+    return np.abs(k).reshape(z.shape), delta, np.sum(weighted, axis=-1)
+
+
+def _gate(dist, u, z):
+    """Which rows of z (n, s) are certified as the s in-disk roots at u (n,).
+
+    Returns the flags and the residuals |k(z)|.  A row passes if its roots
+    are inside the disk, meet RESIDUAL_TOL, are pairwise farther apart than
+    twice their largest forward error, and bound F's relative error by ETA
+    (see _forward_errors).
+    """
+    residuals, delta, bound = _forward_errors(dist, u, z)
+    spread = np.abs(z[:, :, None] - z[:, None, :])
+    spread[:, np.arange(dist.s), np.arange(dist.s)] = np.inf
+    ok = (
+        np.all(np.abs(z) < 1.0 - IN_DISK_TOL, axis=-1)
+        & np.all(residuals <= RESIDUAL_TOL, axis=-1)
+        & (np.min(spread, axis=(1, 2)) > 2.0 * np.max(delta, axis=-1))
+        & (bound <= ETA)
+    )
+    return ok, residuals
+
+
+def _newton(dist, u, z):
+    """Newton on 1-D arrays of (u, z) pairs, each to roundoff: |step| <= 4 eps |z|.
+
+    Returns the roots and a flag per pair: it converged, or hit k(z) = 0,
+    within NEWTON_STEPS steps.  A pair starts or stops unconverged outside
+    |z| < 1 + POLISH_BAND, where no in-disk root lies and z^J may overflow,
+    and stops at a step of length >= 2 (a zero slope included).
+    """
+    z = z.copy()
+    done = np.zeros(z.shape, dtype=bool)
+    live = np.flatnonzero(np.abs(z) < 1.0 + POLISH_BAND)
+    eps = np.finfo(float).eps
+    for _ in range(NEWTON_STEPS):
+        if live.size == 0:
+            break
+        kz, fp, _ = _kernel_terms(dist, u[live], z[live])
+        exact = kz == 0
+        done[live[exact]] = True
+        moving = ~exact & (np.abs(kz) < 2.0 * np.abs(fp))
+        live = live[moving]
+        step = kz[moving] / fp[moving]
+        z[live] -= step
+        converged = np.abs(step) <= 4.0 * eps * np.abs(z[live])
+        done[live[converged]] = True
+        live = live[~converged & (np.abs(z[live]) < 1.0 + POLISH_BAND)]
+    return z, done
+
+
+def track_kernel_roots(dist: IncrementDistribution, u) -> RootSet:
+    """The s in-disk kernel roots at every u of an array, from one companion solve.
+
+    Solves u[0] by find_kernel_roots, seeds every other node with
+    z_k(u_0) (u/u_0)^(1/s), Newton-iterates all pairs to roundoff and keeps
+    the rows that pass the gate (see the module docstring).  The rest, or
+    every row when u[0]'s roots fail the gate, come from one
+    stacked find_kernel_roots call and equal its rows to the bit.  Accepted
+    rows are ordered as find_kernel_roots orders its rows.
+    """
+    u_arr = np.asarray(u)
+    us = u_arr.reshape(-1)
+    if np.any(np.abs(us) >= 1):
+        raise ValueError(f"|u| must be < 1, got {float(np.max(np.abs(us)))!r}")
+    s = dist.s
+    first = find_kernel_roots(dist, us[0])
+    roots = np.empty((len(us), s), dtype=complex)
+    residuals = np.empty((len(us), s))
+    roots[0], residuals[0] = first.roots, first.residuals
+    rest = us[1:]
+    fallback = np.ones(len(rest), dtype=bool)
+    if len(rest) and _gate(dist, us[:1], first.roots[None])[0][0]:
+        ratio = rest / us[0]
+        turn = np.abs(ratio) ** (1.0 / s) * np.exp(1j * np.angle(ratio) / s)
+        z, done = _newton(dist, np.repeat(rest, s), (turn[:, None] * first.roots).reshape(-1))
+        z, done = z.reshape(len(rest), s), done.reshape(len(rest), s).all(axis=-1)
+        z = np.take_along_axis(z, np.lexsort((z.imag, z.real), axis=-1), axis=-1)
+        ok, res = _gate(dist, rest[done], z[done])
+        accepted = np.flatnonzero(done)[ok]
+        roots[1 + accepted], residuals[1 + accepted] = z[accepted], res[ok]
+        fallback[accepted] = False
+    if fallback.any():
+        again = find_kernel_roots(dist, rest[fallback])
+        rows = 1 + np.flatnonzero(fallback)
+        roots[rows], residuals[rows] = again.roots, again.residuals
+    shape = u_arr.shape + (s,)
+    return RootSet(
+        roots=roots.reshape(shape),
+        residuals=residuals.reshape(shape),
+        max_modulus=float(np.max(np.abs(roots), initial=0.0)),
+    )
+
+
 def product_eval(dist: IncrementDistribution, u, z, roots: RootSet):
     """F(u, z) from the root-product representation.
 
@@ -201,16 +366,19 @@ def root_logresidue_check(
     z: float,
     inner_radius: float,
     nodes: int,
+    roots: RootSet | None = None,
 ):
     """Sum of principal-branch logs over the roots vs its contour integral.
 
     Left side: sum_k ln((z - z_k) / (1 - z_k)).  Right side: trapezoidal
     quadrature of (1/2 pi i) oint_{|w|=a} ln((z - w)/(1 - w)) k'(w)/k(w) dw.
+    roots are the kernel roots at u; by default find_kernel_roots(dist, u).
     Returns (lhs, rhs) as real numbers for the caller to compare.
     """
     if not (0.0 < u < 1.0):
         raise ValueError("u must be real in (0, 1)")
-    roots = find_kernel_roots(dist, u)
+    if roots is None:
+        roots = find_kernel_roots(dist, u)
     a = inner_radius
     if not (roots.max_modulus < a < z < 1.0):
         raise ValueError(

@@ -117,9 +117,10 @@ class TestRun:
         assert len(calls) == searches
         assert bool(result.report.environment["radius_certificate"]) == bool(searches)
 
-    def test_three_root_solves_in_the_structural_checks(self, monkeypatch):
-        # the numerator check's u = 0.5 roots also place the log-residue radii;
-        # root_logresidue_check keeps its own solve
+    def test_one_root_solve_in_the_structural_checks(self, monkeypatch):
+        # one tracker call serves both numerator-check u: the companion solve
+        # at u = 0.25 seeds u = 0.5, which passes the gate on the simple walk;
+        # the log-residue check reuses the u = 0.5 roots
         calls = []
         solve = rw.kernel.find_kernel_roots
         monkeypatch.setattr(
@@ -127,7 +128,7 @@ class TestRun:
         )
         result = cli.run(cli.parse_config(SIMPLE_CONFIG))
         assert result.report.all_passed
-        assert calls == [0.25, 0.5, 0.5]
+        assert calls == [0.25]
 
     def test_one_coefficient_extraction_per_l(self, monkeypatch):
         # every k of one l comes from one transform of A(w)^l
@@ -303,6 +304,14 @@ class TestHeavyTraffic:
         entry = next(c for c in payload["report"]["checks"] if c["name"] == check.name)
         assert entry["skipped"] == check.skipped and entry["passed"] is False
         assert entry["residual"] is None
+
+    def test_gate_sends_ill_conditioned_roots_to_the_companion(self):
+        # poisson(45), s = 50: Newton roots seeded from u[0] each have backward
+        # error near eps, yet their product reads dp vs product 1.8e-5; their
+        # forward-error sum (2e-5) fails the gate, so the companion solves them
+        result = cli.run(_poisson_config(45.0, 50, "dp, product", 6))
+        assert result.report.all_passed, cli.render_report_text(result.report)
+        assert result.report.pairs[0].max_deviation <= 1e-9
 
     def test_coefficient_identity_on_the_sampled_circle(self):
         # poisson(60), s = 50: admissible for |u| <= r = 0.403, not for 0.75
@@ -485,3 +494,36 @@ class TestRandomizedCrossCheck:
         assert result.report.all_passed, cli.render_report_text(result.report)
         exact = _exact_dp(weights, s, n_max, m_max)
         assert np.max(np.abs(result.tables["dp"].probs - exact)) <= 1e-14
+
+    # |F_tracked - F_companion| <= SAFETY (bound + s eps) |F|: the gate's
+    # bound covers the roots' error to first order, s eps the rounding of
+    # the s-factor product, which the two sides round apart; the largest
+    # ratio seen over 3000 such laws was 4.9
+    SAFETY = 8.0
+
+    @pytest.mark.filterwarnings("ignore:P\\(A=0\\) = 0")
+    @settings(max_examples=30, deadline=None)
+    @given(_walk_laws())
+    def test_tracked_product_within_its_bound(self, law):
+        # on the u and z grids of the run above: a node the gate accepted is
+        # within its own bound of the companion's F; one it sent back is
+        # the companion's row, bit for bit
+        weights, s = law
+        d = rw.make_family("explicit", s, probs=[w / sum(weights) for w in weights])
+        n_max = 4
+        nu, r = cli.u_circle(n_max)
+        u = r * np.exp(2j * np.pi * np.arange(nu // 2 + 1) / nu)
+        nz = cli._next_pow2(n_max * d.support_growth + 1)
+        z = np.exp(2j * np.pi * np.arange(nz) / nz)
+        tracked, companion = rw.track_kernel_roots(d, u), rw.find_kernel_roots(d, u)
+        f_tracked = rw.product_eval(d, u, z, tracked)
+        f_companion = rw.product_eval(d, u, z, companion)
+        bound = rw.kernel._forward_errors(d, u, tracked.roots)[2]
+        eps = np.finfo(float).eps
+        for k in range(len(u)):
+            if np.array_equal(tracked.roots[k], companion.roots[k]):
+                np.testing.assert_array_equal(f_tracked[k], f_companion[k])
+                continue
+            assert bound[k] <= rw.kernel.ETA
+            dev = np.abs(f_tracked[k] - f_companion[k])
+            assert np.all(dev <= self.SAFETY * (bound[k] + s * eps) * np.abs(f_companion[k]))

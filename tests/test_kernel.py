@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import reflectedwalk as rw
-from reflectedwalk import kernel
+from reflectedwalk import cli, kernel
 from reflectedwalk.kernel import _polish, kernel_deriv_eval, kernel_eval
 
 from conftest import standard_distributions
@@ -40,10 +42,10 @@ def _fake_eigvals(monkeypatch, rows):
     monkeypatch.setattr(np.linalg, "eigvals", lambda stack: rows)
 
 
-def _assert_conjugate_sets(a, b, atol):
-    """Each root of a lies within atol of its own conjugate from b."""
+def _assert_same_sets(a, b, atol):
+    """Each root of a lies within atol of its own match from b."""
     assert len(a) == len(b)
-    unused = list(np.conj(np.asarray(b)))
+    unused = list(np.asarray(b))
     for z in a:
         k = int(np.argmin(np.abs(np.asarray(unused) - z)))
         assert abs(unused.pop(k) - z) <= atol
@@ -99,7 +101,7 @@ class TestFindKernelRoots:
         for d in laws.values():
             rs = rw.find_kernel_roots(d, u)
             rs_conj = rw.find_kernel_roots(d, np.conj(u))
-            _assert_conjugate_sets(rs.roots, rs_conj.roots, atol=1e-14)
+            _assert_same_sets(rs.roots, np.conj(rs_conj.roots), atol=1e-14)
 
     def test_roots_just_outside_band_are_not_polished(self, simple, monkeypatch):
         # kernel -w^2/4 + w - 1/4 at u = 0.5: roots 2 -+ sqrt(3); move the
@@ -206,6 +208,129 @@ class TestBatchedRoots:
             assert column[k] == rw.product_eval(d, u, 0.5, one)
 
 
+with warnings.catch_warnings():
+    # P(A=0) = 0 is accepted with a warning
+    warnings.simplefilter("ignore", UserWarning)
+    A0_ZERO = rw.make_family("explicit", 2, probs=[0.0, 0.5, 0.5])
+
+
+class TestTrackKernelRoots:
+    """One companion solve at u[0], gated Newton roots at the other nodes."""
+
+    # the upper-half u nodes of a run at n_max = 6, TestBatchedRoots' nodes
+    # on |u| = 0.5, and the structural checks' two u
+    NU, R = cli.u_circle(6)
+    ARRAYS = {
+        "u-circle": R * np.exp(2j * np.pi * np.arange(NU // 2 + 1) / NU),
+        "batched": TestBatchedRoots.NODES,
+        "checks": np.array([0.25, 0.5]),
+    }
+    LAWS = TestBatchedRoots.LAWS
+    # the gate admits rows whose roots move F by at most ETA to first order,
+    # so each root is within ETA / 2 of its true value up to the kernel's
+    # evaluation error; the companion's polished roots are as close
+    SET_TOL = 1e-14
+
+    @pytest.mark.parametrize("nodes", sorted(ARRAYS))
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_rows_match_the_companion_as_sets(self, law, nodes):
+        d, u = self.LAWS[law], self.ARRAYS[nodes]
+        tracked, companion = rw.track_kernel_roots(d, u), rw.find_kernel_roots(d, u)
+        assert tracked.roots.shape == tracked.residuals.shape == (len(u), d.s)
+        for k in range(len(u)):
+            _assert_same_sets(tracked.roots[k], companion.roots[k], self.SET_TOL)
+            # rows keep find_kernel_roots' order: by real part, then imaginary
+            row = tracked.roots[k]
+            np.testing.assert_array_equal(row, row[np.lexsort((row.imag, row.real))])
+        # |k(z)| as the tracker evaluates it, from a table of powers
+        np.testing.assert_allclose(
+            tracked.residuals, np.abs(kernel_eval(d, u[:, None], tracked.roots)),
+            rtol=0, atol=1e-15,
+        )
+        assert np.all(tracked.residuals <= kernel.RESIDUAL_TOL)
+        assert tracked.max_modulus == np.max(np.abs(tracked.roots))
+
+    FALLBACK = {
+        # ill-conditioned roots: the forward-error sum at u[0] reads 2e-5
+        "poisson-45-50": (rw.make_family("poisson", 50, lam=45.0), ARRAYS["u-circle"]),
+        # a double root at the origin: k'(0) = 0
+        "a-equals-s": ("a-equals-s", ARRAYS["u-circle"]),
+        # P(A=0) = 0: a simple root at the origin, where delta's scale is 0
+        "a0-zero": (A0_ZERO, ARRAYS["u-circle"]),
+        # u[0] = 0: every root at the origin
+        "u0-zero": ("simple-walk", np.append(0.0, ARRAYS["u-circle"])),
+        "u0-zero-geometric": ("geometric", np.append(0.0, ARRAYS["u-circle"])),
+    }
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", sorted(FALLBACK))
+    def test_fallback_rows_are_the_companion_rows(self, dists, case):
+        d, u = self.FALLBACK[case]
+        d = dists[d] if isinstance(d, str) else d
+        tracked, companion = rw.track_kernel_roots(d, u), rw.find_kernel_roots(d, u)
+        np.testing.assert_array_equal(tracked.roots, companion.roots)
+        np.testing.assert_array_equal(tracked.residuals, companion.residuals)
+        assert tracked.max_modulus == companion.max_modulus
+
+    def test_forward_error_is_inf_at_a_multiple_or_origin_root(self, dists):
+        u = np.array([0.3])
+        for d, z in ((dists["a-equals-s"], [0.0, 0.0]), (A0_ZERO, [0.0, 0.3])):
+            with np.errstate(all="raise"):
+                _, delta, bound = kernel._forward_errors(d, u, np.array([z], dtype=complex))
+            assert delta[0, 0] == np.inf and bound[0] == np.inf
+
+    def test_gate_rejects_ill_conditioned_roots(self, dists):
+        # poisson(45), s = 50 at u[0] of the run's circle: the companion's
+        # roots are inside, separated and at roundoff, but F from roots each
+        # off by their forward error could move by 2e-5; geometric(0.5)
+        # reads 3e-16 and passes
+        u = self.ARRAYS["u-circle"][:1]
+        for d, passes in ((self.FALLBACK["poisson-45-50"][0], False), (dists["geometric"], True)):
+            z = rw.find_kernel_roots(d, u).roots
+            residuals, delta, bound = kernel._forward_errors(d, u, z)
+            spread = np.abs(z[0][:, None] - z[0][None, :]) + np.diag(np.full(d.s, np.inf))
+            assert np.all(residuals <= 1e-15) and spread.min() > 2.0 * delta.max()
+            assert kernel._gate(d, u, z)[0].tolist() == [passes]
+            assert (bound[0] <= kernel.ETA) == passes
+
+    def test_gate_rejects_a_duplicate_or_outside_root(self, dists):
+        d = dists["poisson"]
+        u = np.array([0.4, 0.4, 0.4])
+        good = rw.find_kernel_roots(d, 0.4).roots
+        z = np.array([good, [good[0], good[0]], [good[0], 1.5]])
+        ok, residuals = kernel._gate(d, u, z)
+        assert ok.tolist() == [True, False, False]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_seed_outside_the_band_is_not_evaluated(self):
+        # J = 1000: 3^1000 overflows, so a seed at |z| = 3 must stop unconverged
+        # before its powers are formed; the seed at 0.5 still converges
+        d = rw.make_family("explicit", 400, probs=[1.0 / 1001] * 1001)
+        z, done = kernel._newton(d, np.array([0.5, 0.5]), np.array([3.0, 0.5], dtype=complex))
+        assert z[0] == 3.0 and done.tolist() == [False, True]
+        assert abs(kernel_eval(d, 0.5, z[1])) <= 1e-15
+
+    def test_one_companion_matrix_per_u_circle(self, dists, monkeypatch):
+        # geometric(0.5), s = 1: one companion solve at u[0] serves all 17
+        # nodes (one per node before the tracker)
+        solved = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: solved.append(len(a)) or eigvals(a))
+        cfg = cli.RunConfig(family="geometric", s=1, n_max=6, m_max=6)
+        cli._compute_tables(dists["geometric"], cfg, ("product",), None)
+        assert solved == [1]
+
+    def test_row_is_the_scalar_root_set(self, dists):
+        d = dists["poisson"]
+        u = self.ARRAYS["checks"]
+        rs = rw.find_kernel_roots(d, u)
+        for k in range(len(u)):
+            one, row = rw.find_kernel_roots(d, u[k]), rs.row(k)
+            np.testing.assert_array_equal(row.roots, one.roots)
+            np.testing.assert_array_equal(row.residuals, one.residuals)
+            assert row.max_modulus == one.max_modulus
+
+
 class TestProductEval:
     def test_value_at_one_is_geometric_sum(self, dists):
         for d in dists.values():
@@ -271,6 +396,18 @@ class TestLogResidueCheck:
         assert np.min(np.abs(kernel_eval(d, 0.5, w))) < 1e-12
         lhs, rhs = rw.root_logresidue_check(d, 0.5, z, a, nodes=2048)
         assert abs(lhs - rhs) <= 1e-8
+
+    def test_given_roots_are_used(self, dists):
+        d = dists["poisson"]
+        top = rw.find_kernel_roots(d, 0.5).max_modulus
+        z, a = 0.5 * (top + 1.0), 0.25 * (3.0 * top + 1.0)
+        own = rw.root_logresidue_check(d, 0.5, z, a, nodes=512)
+        given = rw.root_logresidue_check(d, 0.5, z, a, nodes=512,
+                                         roots=rw.find_kernel_roots(d, 0.5))
+        assert given == own
+        wrong = rw.root_logresidue_check(d, 0.5, z, a, nodes=512,
+                                         roots=rw.find_kernel_roots(d, 0.25))
+        assert wrong[0] != own[0] and wrong[1] == own[1]
 
     def test_radius_ordering_enforced(self, simple):
         with pytest.raises(ValueError, match="<"):

@@ -30,12 +30,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import contour, dist as dist_mod, kernel, oracle, series
+from ._complex import cexp, circle
 
 DEFAULT_METHODS = ("dp",)
 ALL_METHODS = ("dp", "spitzer", "product", "pollaczek")
 # unit-circle points for the functional-equation check: |z^-s| = 1 there,
 # so the check does not amplify roundoff
-FUNCTIONAL_Z_GRID = np.exp(1j * np.array([0.0, 1.0, 2.0, np.pi]))
+FUNCTIONAL_Z_GRID = cexp(1j * np.array([0.0, 1.0, 2.0, np.pi]))
 CHECK_TOL = {"functional-equation": 1e-11, "numerator": 1e-9,
              "coefficient-identity": 1e-10, "log-residue": 1e-8}
 
@@ -276,8 +277,8 @@ def _invert_transform(evaluator, d, cfg: RunConfig) -> np.ndarray:
     nu, r_u = u_circle(n_max)
     nz = _next_pow2(max(n_max * d.support_growth, m_max) + 1)
     half = nu // 2
-    u_nodes = r_u * np.exp(2j * np.pi * np.arange(half + 1) / nu)
-    z_nodes = np.exp(2j * np.pi * np.arange(nz) / nz)
+    u_nodes = circle(r_u, nu)[: half + 1]
+    z_nodes = circle(1.0, nz)
     samples = np.empty((nu, nz), dtype=complex)
     samples[: half + 1] = evaluator(u_nodes, z_nodes)
     samples[half + 1 :] = np.conj(samples[half - 1 : 0 : -1, -np.arange(nz)])

@@ -17,6 +17,12 @@ because (1-z)/((w-1)(w-z)) = 1/(w-1) - 1/(w-z) and, for |z| < b,
 (1/2 pi i) oint L(w)/(w-z) dw = sum_{k>=0} c_k z^k.  One FFT of L gives
 every c_k at once, and one FFT along the node axis does so for every u
 of an array.
+
+That costs one complex log per (u, node) pair and one complex exp per
+(u, z) output.  Both come from ``_complex``'s clog and cexp, built on
+numpy's vectorized real ufuncs instead of libm's scalar clog and cexp:
+the same principal branch, a few eps apart, and cexp(0) = 1 exactly, so
+F(u, 1) = 1/(1 - u) still holds to the bit.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._complex import cexp, circle, clog
 from .dist import IncrementDistribution, pgf_eval, walk_pmf
 
 OUTER_RADIUS_CAP = 8.0
@@ -74,10 +81,6 @@ class RadiusCertificate:
             raise ValueError(f"margin {self.margin!r} too close to 1")
 
 
-def _circle(radius: float, nodes: int) -> np.ndarray:
-    return radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
-
-
 def choose_outer_radius(
     dist: IncrementDistribution, v: float, grid_points: int = 400
 ) -> RadiusCertificate:
@@ -121,10 +124,10 @@ def _circle_fft(f, r: float, quad: CircleQuadrature, gap, rows: int = 1) -> list
     nodes = quad.nodes
     live = np.arange(rows)
     spectra = [None] * rows
-    prev = np.fft.fft(f(_circle(r, nodes), live)) / nodes
+    prev = np.fft.fft(f(circle(r, nodes), live)) / nodes
     for _ in range(quad.max_doublings):
         nodes *= 2
-        cur = np.fft.fft(f(_circle(r, nodes), live)) / nodes
+        cur = np.fft.fft(f(circle(r, nodes), live)) / nodes
         last = gap(cur, prev)
         done = last < quad.tol
         for k, spectrum in zip(live[done].tolist(), cur[done]):
@@ -184,7 +187,7 @@ def _plus_part(dist, u: np.ndarray, cert, quad, rho: float) -> np.ndarray:
             raise QuadratureError(
                 "principal branch unsafe: Re(1 - u A(w)/w^s) <= 0 on the contour"
             )
-        return np.log(log_arg)
+        return clog(log_arg)
 
     def plus(spectrum):
         a = spectrum[..., : spectrum.shape[-1] // 2].copy()
@@ -236,7 +239,7 @@ def pollaczek_eval(
     ratios = np.broadcast_to((z_arr / cert.b)[:, None], (z_arr.size, k_max))
     zs_b = np.cumprod(ratios, axis=1)
     exponent = (inv_b - zs_b) @ a[1:]
-    values = np.exp(exponent) * (1.0 / (1.0 - u))
+    values = cexp(exponent) * (1.0 / (1.0 - u))
     return values if np.ndim(z) else complex(values[0])
 
 
@@ -264,7 +267,7 @@ def pollaczek_unit_grid(
     exponent[:, 0] = 0.0
     # a scalar u divides in its own arithmetic, as in pollaczek_eval, so
     # F(u, 1) is 1 / (1 - u) to the bit
-    values = np.exp(exponent).reshape(u_arr.shape + (nz,))
+    values = cexp(exponent).reshape(u_arr.shape + (nz,))
     return values * np.expand_dims(1.0 / (1.0 - u), -1)
 
 

@@ -135,6 +135,18 @@ def required_boundary_order(u: float, tol: float) -> int:
     return n
 
 
+def boundary_width(dist: IncrementDistribution, n_max: int) -> int:
+    """Top level m_max of a DP table whose boundary_probs are exact to row n_max.
+
+    boundary_probs reads only the levels < s.  The walk falls at most s a
+    step, so row n's levels < s come from row n - k's levels < s (k + 1).
+    Cutting the table at m_max spoils row k only above m_max - (k - 1) s,
+    so a cut at s (n_max + 1) keeps every level read exact; the full
+    support n_max * support_growth, if lower, loses nothing at all.
+    """
+    return max(min(n_max * dist.support_growth, dist.s * (n_max + 1)), dist.s)
+
+
 def numerator_check(
     dist: IncrementDistribution,
     u: float,
@@ -149,8 +161,7 @@ def numerator_check(
     bound so the truncation error is <= tol / 10.
     """
     n_req = required_boundary_order(u, tol / 10.0)
-    m_need = max(n_req * dist.support_growth, dist.s)
-    table = lindley_dp(dist, n_req, m_need)
+    table = lindley_dp(dist, n_req, boundary_width(dist, n_req))
     bnd = boundary_probs(dist, table)
     upow = u ** np.arange(table.n_max + 1)
     f_r = bnd @ upow  # F_r(u) truncated at n_max

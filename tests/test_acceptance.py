@@ -12,7 +12,7 @@ import pytest
 
 import reflectedwalk as rw
 from reflectedwalk import cli
-from reflectedwalk.contour import _circle
+from reflectedwalk._complex import circle
 
 V_CAP = 0.75
 U_GRID = (0.1, 0.3, 0.5, 0.7, 0.9 * V_CAP)
@@ -99,7 +99,7 @@ def test_criterion_3_pollaczek_vs_product(dists, simple):
     )
 
     def estimate(nodes):
-        w = _circle(cert.b, nodes)
+        w = circle(cert.b, nodes)
         lw = np.log(1.0 - u * rw.pgf_eval(simple, w) / w**simple.s)
         frac = (1.0 - z) / ((w - 1.0) * (w - z))
         return np.exp(np.mean(frac * lw * w)) / (1.0 - u)

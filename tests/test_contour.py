@@ -6,10 +6,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reflectedwalk as rw
+from reflectedwalk._complex import circle
 from reflectedwalk.contour import (
     QuadratureError,
     RadiusSearchError,
-    _circle,
     _plus_part,
     pollaczek_unit_grid,
 )
@@ -152,7 +152,7 @@ class TestPollaczekEval:
         )
 
         def estimate(nodes):
-            w = _circle(cert.b, nodes)
+            w = circle(cert.b, nodes)
             lw = np.log(1.0 - u * rw.pgf_eval(simple, w) / w**simple.s)
             frac = (1.0 - z) / ((w - 1.0) * (w - z))
             return np.exp(np.mean(frac * lw * w)) / (1.0 - u)

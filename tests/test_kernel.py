@@ -158,12 +158,14 @@ class TestBatchedRoots:
     @pytest.mark.parametrize("law", sorted(LAWS))
     def test_stacked_solve_matches_np_roots(self, law):
         # np.roots, one u at a time, is the reference for every row,
-        # u = 0 included; the inf padding of short rows is no root
+        # u = 0 included; the inf padding of short rows is no root.  A real
+        # row is passed as real, as np.roots then solves it in real arithmetic
         d = self.LAWS[law]
         coeffs = kernel.kernel_coeffs(d, np.append(self.NODES, 0.0))
         cand = kernel._companion_roots(coeffs)
         for row, c in zip(cand, coeffs):
-            np.testing.assert_array_equal(row[np.isfinite(row)], np.roots(c[::-1]))
+            p = c[::-1] if np.any(c.imag) else c[::-1].real
+            np.testing.assert_array_equal(row[np.isfinite(row)], np.roots(p))
 
     def test_u_zero_and_roots_at_origin_in_a_batch(self, dists):
         # u = 0 strips both ends of the kernel's coefficients, and P(A=0) = 0
@@ -174,6 +176,21 @@ class TestBatchedRoots:
             for k, u in enumerate(us):
                 np.testing.assert_array_equal(batch.roots[k], rw.find_kernel_roots(d, u).roots)
             np.testing.assert_allclose(batch.roots[0], 0.0, atol=1e-12)
+
+    def test_real_rows_solved_in_real_arithmetic(self, dists, monkeypatch):
+        # the real u share one real eigenvalue call, the others one complex
+        # call, and each row still equals its scalar call to the bit
+        d = dists["poisson"]
+        us = np.array([0.25, 0.3j, 0.5, 0.5 * np.exp(0.3j)])
+        expected = [rw.find_kernel_roots(d, u).roots for u in us]
+        solved = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda a: solved.append((a.dtype, len(a))) or eigvals(a))
+        batch = rw.find_kernel_roots(d, us)
+        assert sorted(solved, key=str) == [(np.complex128, 2), (np.float64, 2)]
+        for row, one in zip(batch.roots, expected):
+            np.testing.assert_array_equal(row, one)
 
     def test_batch_names_the_failing_u(self, simple, monkeypatch):
         # the count check of test_roots_just_outside_band_are_not_polished,

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 import reflectedwalk as rw
-from reflectedwalk.oracle import boundary_probs, required_boundary_order, row_pgf
+from reflectedwalk.oracle import (
+    boundary_probs,
+    boundary_width,
+    required_boundary_order,
+    row_pgf,
+)
 
 
 class TestLindleyDp:
@@ -139,6 +144,40 @@ class TestBoundaryProbs:
         for n in range(7):
             law = np.convolve(t.probs[n], d.pmf_a)
             np.testing.assert_allclose(b[:, n], law[: d.s], atol=1e-14)
+
+
+class TestBoundaryWidth:
+    LAWS = {
+        "geometric": ("geometric", 1, {"p": 0.5}),
+        "poisson-15": ("poisson", 15, {"lam": 14.0}),
+        "poisson": ("poisson", 2, {"lam": 1.2}),
+        "binomial-99": ("binomial", 99, {"n": 200, "p": 0.5}),
+        "a-zero": ("deterministic", 2, {"c": 0}),
+    }
+
+    @pytest.mark.parametrize("u", [0.25, 0.5])
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_narrow_table_reads_as_the_full_one(self, law, u):
+        # the numerator check's rows at its default tol, 1e-9 / 10
+        family, s, params = self.LAWS[law]
+        d = rw.make_family(family, s, **params)
+        n = required_boundary_order(u, 1e-10)
+        narrow = rw.lindley_dp(d, n, boundary_width(d, n))
+        full = rw.lindley_dp(d, n, max(n * d.support_growth, d.s))
+        np.testing.assert_allclose(
+            boundary_probs(d, narrow), boundary_probs(d, full), rtol=0, atol=1e-16
+        )
+
+    def test_width(self):
+        geometric = rw.make_family("geometric", 1, p=0.5)
+        # u = 0.5: 35 rows, 36 columns instead of the support's 1531
+        n = required_boundary_order(0.5, 1e-10)
+        assert (n, boundary_width(geometric, n), n * geometric.support_growth) == (34, 35, 1530)
+        # never below s, and never above the full support
+        a_zero = rw.make_family("deterministic", 2, c=0)
+        assert boundary_width(a_zero, 34) == 2
+        binomial = rw.make_family("binomial", 2, n=3, p=0.4)
+        assert boundary_width(binomial, 34) == 34
 
 
 class TestRowPgf:

@@ -119,20 +119,28 @@ def _circle_fft(f, r: float, quad: CircleQuadrature, gap, rows: int = 1) -> list
     count doubles from quad.nodes; gap(cur, prev) compares two successive
     spectra of the live rows and returns one gap per row.  Each row keeps
     its spectrum from the first doubling at which its own gap < quad.tol
-    and is not sampled again.  Returns the spectra, one 1-D array per row.
+    and is not sampled again.  circle(r, 2N)[::2] is circle(r, N) to the
+    bit, so a doubling samples only the N new odd nodes and interleaves
+    them with the samples it holds: a row that stops at N nodes has been
+    sampled at N nodes.  Returns the spectra, one 1-D array per row.
     """
     nodes = quad.nodes
     live = np.arange(rows)
     spectra = [None] * rows
-    prev = np.fft.fft(f(circle(r, nodes), live)) / nodes
+    samples = f(circle(r, nodes), live)
+    prev = np.fft.fft(samples) / nodes
     for _ in range(quad.max_doublings):
         nodes *= 2
-        cur = np.fft.fft(f(circle(r, nodes), live)) / nodes
+        odd = f(circle(r, nodes)[1::2], live)
+        both = np.empty((len(live), nodes), dtype=np.result_type(samples, odd))
+        both[:, ::2], both[:, 1::2] = samples, odd
+        samples = both
+        cur = np.fft.fft(samples) / nodes
         last = gap(cur, prev)
         done = last < quad.tol
         for k, spectrum in zip(live[done].tolist(), cur[done]):
             spectra[k] = spectrum
-        live, prev, last = live[~done], cur[~done], last[~done]
+        live, samples, prev, last = live[~done], samples[~done], cur[~done], last[~done]
         if live.size == 0:
             return spectra
     raise QuadratureError(

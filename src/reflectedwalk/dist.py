@@ -181,7 +181,7 @@ def pgf_eval(dist: IncrementDistribution, w):
 
 
 def pgf_deriv_eval(dist: IncrementDistribution, w):
-    """A'(w); used by the kernel Newton polish and the log-residue check."""
+    """A'(w); used by the log-residue check, through kernel_deriv_eval."""
     coeffs = dist.pmf_a[1:] * np.arange(1, len(dist.pmf_a))
     if coeffs.size == 0:
         return np.zeros_like(np.asarray(w, dtype=complex)) if np.ndim(w) else 0.0

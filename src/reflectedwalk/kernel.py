@@ -5,38 +5,41 @@ the reflected-walk transform factors over them:
 
     F(u, z) = (1 / (z^s - u A(z))) * prod_k (z - z_k(u)) / (1 - z_k(u)).
 
+A root set is right exactly when P(w) = prod_k (w - z_k) divides the
+kernel k(w).  Dividing k's coefficients by the monic P from the top is
+stable, as P's roots lie inside the disk, and leaves the remainder
+R = k mod P.  P is then the exact in-disk factor of k - R, and on |z| = 1,
+1/k = z^-s sum_n (u A(z) z^-s)^n has Wiener norm <= 1/(1 - |u|).  So with
+the certificate eps = ||R||_1 / (1 - |u|) < 1 and every z_k inside the
+disk, Rouche keeps the count, and |log(F_roots / F)| <= -2 log(1 - eps)
+at every |z| = 1, however ill-conditioned the single roots are.  Rounding
+adds O(J eps) to the computed eps.
+
 There are two entry points.
 
 find_kernel_roots, for a scalar u or an array of them, solves globally
 via companion-matrix eigenvalues: the companion matrices of every u are
 stacked and solved by one eigenvalue call, the rows of a real u apart, as
-real matrices.  Only the eigenvalues with |z| < 1 + POLISH_BAND are
-polished, all (u, root) pairs together, by Newton steps that each root
-accepts only while they reduce its residual.  The candidates farther out cannot be
-in-disk roots: they feed only the in-disk count, which must equal s at
-every u, and are never returned, so their residuals need not be small.  A
-root that the count misses still raises KernelRootError, and every
-returned root still meets RESIDUAL_TOL.
+real matrices.  It returns the eigenvalues as they come: the s with
+|z| < 1 - IN_DISK_TOL, which must be s at every u, and every one within
+RESIDUAL_TOL, or KernelRootError names the u.  The companion's
+eigenvalues are backward stable as a set, the exact roots of one nearby
+polynomial, so their product is accurate even where single roots are not.
 
 track_kernel_roots, for an array of u, makes that companion solve at u[0]
 only.  The roots z_k(u) are analytic in u, so it seeds every other node
 with z_k(u_0) (u/u_0)^(1/s) and runs Newton on all (u, root) pairs at
 once, each to roundoff.  A node keeps its Newton roots only if every pair
-reached that stop and a gate certifies them: all s inside the disk and
-within RESIDUAL_TOL, pairwise farther apart than twice their largest
-forward error, and sum_k delta_k 2 / (1 - |z_k|) <= ETA, where
-delta_k = eps (|z_k|^s + |u| A(|z_k|)) / |k'(z_k)| is the root's
-first-order forward error and the sum is the first-order relative error
-of F on |z| = 1.  Distinct in-disk roots, s of them, are all of them by
-Rouche.  Every other node takes one stacked find_kernel_roots call, and
-so does every node when u[0]'s own roots fail the gate.
+reached that stop, all s lie inside the disk and within RESIDUAL_TOL, and
+their certificate is at most max(ETA, eps_0), eps_0 being the
+certificate of u[0]'s companion roots.  Every other node takes one
+stacked find_kernel_roots call.
 
 A small residual per root does not certify the product.  On poisson(45),
-s = 50, every Newton root has backward error near eps, yet F from them is
-off by ~1e-5: the roots are ill-conditioned, and only the companion
-eigenvalues are backward stable as a set, the exact roots of one nearby
-polynomial, so their errors cancel in F.  The delta sum reads 2e-5 there,
-and the gate sends that law to the companion.
+s = 50, Newton from the seeds ends on root sets that mostly meet
+RESIDUAL_TOL, yet F from them is off by up to a relative 1.1: the roots
+are ill-conditioned.  Their certificates read 2e-6 to 40 against 3e-11
+for the companion's, and those nodes go to the companion.
 """
 
 from __future__ import annotations
@@ -50,12 +53,12 @@ from .dist import IncrementDistribution, pgf_deriv_eval, pgf_eval
 
 IN_DISK_TOL = 1e-12        # strict in-disk selection margin
 RESIDUAL_TOL = 1e-10       # hard cap on accepted root residuals
-POLISH_TARGET = 1e-12
-POLISH_BAND = 1e-3         # polish eigenvalues with |z| < 1 + POLISH_BAND
+NEWTON_BAND = 1e-3         # Newton runs only while |z| < 1 + NEWTON_BAND
 NEWTON_STEPS = 50          # cap on the tracker's Newton steps per root
-# relative accuracy assumed for one evaluation of F(u, z): the tracker's
-# gate admits roots only this accurate, and the u inversion's error bound
-# (cli.u_circle_bound) amplifies it
+# relative accuracy assumed for one evaluation of F(u, z): the tracker
+# admits Newton roots whose certificate is within it (or within the
+# companion's), and the u inversion's error bound (cli.u_circle_bound)
+# amplifies it
 ETA = 1e-15
 
 
@@ -110,35 +113,6 @@ def kernel_deriv_eval(dist: IncrementDistribution, u: complex, w):
     return dist.s * w ** (dist.s - 1) - u * pgf_deriv_eval(dist, w)
 
 
-def _polish(dist, u, z):
-    """Newton iterations on a 1-D array of roots, at most 50 steps each.
-
-    u is a scalar or one value per root.  A root stops at POLISH_TARGET,
-    where k'(z) = 0, or at its first step that does not reduce its
-    residual, which it rejects.  Returns the polished roots and their
-    residuals.
-    """
-    z = np.array(z, dtype=complex, ndmin=1)
-    u = np.broadcast_to(u, z.shape)
-    kz = kernel_eval(dist, u, z)
-    res = np.abs(kz)
-    live = np.flatnonzero(res > POLISH_TARGET)
-    for _ in range(50):
-        if live.size == 0:
-            break
-        fp = kernel_deriv_eval(dist, u[live], z[live])
-        moving = fp != 0
-        live, fp = live[moving], fp[moving]
-        cand = z[live] - kz[live] / fp
-        k_cand = kernel_eval(dist, u[live], cand)
-        cand_res = np.abs(k_cand)
-        better = cand_res < res[live]
-        live = live[better]
-        z[live], kz[live], res[live] = cand[better], k_cand[better], cand_res[better]
-        live = live[res[live] > POLISH_TARGET]
-    return z, res
-
-
 def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
     """All roots of each row of ascending coefficients, as np.roots finds them.
 
@@ -175,18 +149,15 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
 def find_kernel_roots(dist: IncrementDistribution, u) -> RootSet:
     """All s kernel roots with |z| < 1 at u, a scalar or an array.
 
-    One stacked companion solve and one polish serve every u.  A u whose
-    in-disk count is not s, or whose roots miss RESIDUAL_TOL, raises
-    KernelRootError naming that u.
+    One stacked companion solve serves every u.  A u whose in-disk count is
+    not s, or whose roots miss RESIDUAL_TOL, raises KernelRootError naming
+    that u.
     """
     u_arr = np.asarray(u)
     us = u_arr.reshape(-1)
     if np.any(np.abs(us) >= 1):
         raise ValueError(f"|u| must be < 1, got {float(np.max(np.abs(us)))!r}")
     cand = _companion_roots(kernel_coeffs(dist, us))
-    res = np.full(cand.shape, np.inf)
-    near = np.abs(cand) < 1.0 + POLISH_BAND
-    cand[near], res[near] = _polish(dist, us[np.nonzero(near)[0]], cand[near])
     inside = np.abs(cand) < 1.0 - IN_DISK_TOL
     found = np.count_nonzero(inside, axis=-1)
     bad = found != dist.s
@@ -198,10 +169,11 @@ def find_kernel_roots(dist: IncrementDistribution, u) -> RootSet:
             f"all root moduli: {sorted(moduli[np.isfinite(moduli)].tolist())}"
         )
     roots = cand[inside].reshape(len(us), dist.s)
-    residuals = res[inside].reshape(len(us), dist.s)
     # deterministic ordering: by real part, then imaginary part
-    order = np.arange(len(us))[:, None], np.lexsort((roots.imag, roots.real), axis=-1)
-    roots, residuals = roots[order], residuals[order]
+    roots = np.take_along_axis(roots, np.lexsort((roots.imag, roots.real), axis=-1), axis=-1)
+    # one flat array of (u, root) pairs, as a scalar call evaluates them
+    residuals = np.abs(kernel_eval(dist, np.repeat(us, dist.s), roots.reshape(-1)))
+    residuals = residuals.reshape(roots.shape)
     bad = np.any(residuals > RESIDUAL_TOL, axis=-1)
     if bad.any():
         k = int(np.argmax(bad))
@@ -234,48 +206,34 @@ def _kernel_terms(dist, u, z):
     return k, slope, powers
 
 
-def _forward_errors(dist, u, z):
-    """Residuals, forward errors and the F error bound of roots z (n, s) at u (n,).
+def _certificate(dist, u, z):
+    """eps = ||k mod P||_1 / (1 - |u|) per row of roots z (n, s) at u (n,).
 
-    A root with backward error eps relative to the kernel's term scale
-    |z|^s + |u| A(|z|) (A has nonnegative coefficients) moves by
-    delta = eps scale / |k'(z)|.  A zero slope (a multiple root) gives inf,
-    and so does a zero scale: a root at the origin when A(0) = 0 or u = 0,
-    where delta would read 0 and a second Newton pair drawn to the same
-    root, ending at 0 or underflowing next to it, would pass the separation
-    test.  The bound is sum_k delta_k 2 / (1 - |z_k|) per row, inf for a
-    root outside the disk: the first-order relative change of F on |z| = 1,
-    as |z - z_k| and |1 - z_k| are >= 1 - |z_k| there.
+    P = prod_k (w - z_k) is monic, so the kernel's coefficients divide by
+    it from the top in max(s, J) - s + 1 steps of s + 1 terms each; see the
+    module docstring for what eps bounds.
     """
-    uu = np.repeat(u, dist.s)
-    k, slope, powers = _kernel_terms(dist, uu, z.reshape(-1))
-    a_abs = np.abs(powers[:, : dist.j_max + 1]) @ dist.pmf_a  # A(|z|)
-    scale = np.abs(powers[:, dist.s]) + np.abs(uu) * a_abs
-    eps = np.finfo(float).eps
-    delta = np.divide(eps * scale, np.abs(slope), out=np.full(scale.shape, np.inf),
-                      where=(slope != 0) & (scale != 0)).reshape(z.shape)
-    gap = 1.0 - np.abs(z)
-    weighted = np.divide(2.0 * delta, gap, out=np.full(z.shape, np.inf), where=gap > 0)
-    return np.abs(k).reshape(z.shape), delta, np.sum(weighted, axis=-1)
+    n, s = z.shape
+    p = np.zeros((n, s + 1), dtype=complex)  # P, highest power first
+    p[:, 0] = 1.0
+    for k in range(s):
+        p[:, 1 : k + 2] -= z[:, k, None] * p[:, : k + 1]
+    rem = kernel_coeffs(dist, u)[:, ::-1].copy()  # k, highest power first
+    for j in range(rem.shape[-1] - s):
+        rem[:, j : j + s + 1] -= rem[:, j, None] * p
+    return np.sum(np.abs(rem[:, -s:]), axis=-1) / (1.0 - np.abs(u))
 
 
-def _gate(dist, u, z):
-    """Which rows of z (n, s) are certified as the s in-disk roots at u (n,).
+def _gate(dist, u, z, bar):
+    """Which rows of z (n, s) are accepted as the s in-disk roots at u (n,).
 
     Returns the flags and the residuals |k(z)|.  A row passes if its roots
-    are inside the disk, meet RESIDUAL_TOL, are pairwise farther apart than
-    twice their largest forward error, and bound F's relative error by ETA
-    (see _forward_errors).
+    are inside the disk, meet RESIDUAL_TOL, and its certificate is <= bar.
     """
-    residuals, delta, bound = _forward_errors(dist, u, z)
-    spread = np.abs(z[:, :, None] - z[:, None, :])
-    spread[:, np.arange(dist.s), np.arange(dist.s)] = np.inf
-    ok = (
-        np.all(np.abs(z) < 1.0 - IN_DISK_TOL, axis=-1)
-        & np.all(residuals <= RESIDUAL_TOL, axis=-1)
-        & (np.min(spread, axis=(1, 2)) > 2.0 * np.max(delta, axis=-1))
-        & (bound <= ETA)
-    )
+    k, _, _ = _kernel_terms(dist, np.repeat(u, dist.s), z.reshape(-1))
+    residuals = np.abs(k).reshape(z.shape)
+    ok = np.all((np.abs(z) < 1.0 - IN_DISK_TOL) & (residuals <= RESIDUAL_TOL), axis=-1)
+    ok[ok] = _certificate(dist, u[ok], z[ok]) <= bar
     return ok, residuals
 
 
@@ -284,12 +242,12 @@ def _newton(dist, u, z):
 
     Returns the roots and a flag per pair: it converged, or hit k(z) = 0,
     within NEWTON_STEPS steps.  A pair starts or stops unconverged outside
-    |z| < 1 + POLISH_BAND, where no in-disk root lies and z^J may overflow,
+    |z| < 1 + NEWTON_BAND, where no in-disk root lies and z^J may overflow,
     and stops at a step of length >= 2 (a zero slope included).
     """
     z = z.copy()
     done = np.zeros(z.shape, dtype=bool)
-    live = np.flatnonzero(np.abs(z) < 1.0 + POLISH_BAND)
+    live = np.flatnonzero(np.abs(z) < 1.0 + NEWTON_BAND)
     eps = np.finfo(float).eps
     for _ in range(NEWTON_STEPS):
         if live.size == 0:
@@ -303,7 +261,7 @@ def _newton(dist, u, z):
         z[live] -= step
         converged = np.abs(step) <= 4.0 * eps * np.abs(z[live])
         done[live[converged]] = True
-        live = live[~converged & (np.abs(z[live]) < 1.0 + POLISH_BAND)]
+        live = live[~converged & (np.abs(z[live]) < 1.0 + NEWTON_BAND)]
     return z, done
 
 
@@ -312,10 +270,11 @@ def track_kernel_roots(dist: IncrementDistribution, u) -> RootSet:
 
     Solves u[0] by find_kernel_roots, seeds every other node with
     z_k(u_0) (u/u_0)^(1/s), Newton-iterates all pairs to roundoff and keeps
-    the rows that pass the gate (see the module docstring).  The rest, or
-    every row when u[0]'s roots fail the gate, come from one
-    stacked find_kernel_roots call and equal its rows to the bit.  Accepted
-    rows are ordered as find_kernel_roots orders its rows.
+    the rows that converged and pass the gate with bar max(ETA, eps_0),
+    eps_0 being the certificate of u[0]'s roots (see the module docstring).
+    The rest, or every row when u[0] = 0 leaves nothing to seed from, come
+    from one stacked find_kernel_roots call and equal its rows to the bit.
+    Accepted rows are ordered as find_kernel_roots orders its rows.
     """
     u_arr = np.asarray(u)
     us = u_arr.reshape(-1)
@@ -328,13 +287,14 @@ def track_kernel_roots(dist: IncrementDistribution, u) -> RootSet:
     roots[0], residuals[0] = first.roots, first.residuals
     rest = us[1:]
     fallback = np.ones(len(rest), dtype=bool)
-    if len(rest) and _gate(dist, us[:1], first.roots[None])[0][0]:
+    if len(rest) and us[0] != 0:
         ratio = rest / us[0]
         turn = np.abs(ratio) ** (1.0 / s) * cexp(1j * np.angle(ratio) / s)
         z, done = _newton(dist, np.repeat(rest, s), (turn[:, None] * first.roots).reshape(-1))
         z, done = z.reshape(len(rest), s), done.reshape(len(rest), s).all(axis=-1)
         z = np.take_along_axis(z, np.lexsort((z.imag, z.real), axis=-1), axis=-1)
-        ok, res = _gate(dist, rest[done], z[done])
+        bar = max(ETA, float(_certificate(dist, us[:1], first.roots[None])[0]))
+        ok, res = _gate(dist, rest[done], z[done], bar)
         accepted = np.flatnonzero(done)[ok]
         roots[1 + accepted], residuals[1 + accepted] = z[accepted], res[ok]
         fallback[accepted] = False

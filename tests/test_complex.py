@@ -50,3 +50,12 @@ class TestCircle:
         nu, r = 64, 0.7
         ref = r * np.exp(2j * np.pi * np.arange(nu // 2 + 1) / nu)
         np.testing.assert_array_equal(_bits(circle(r, nu)[: nu // 2 + 1]), _bits(ref))
+
+    @pytest.mark.parametrize("nodes", [16, 256, 512, 1024, 2048])
+    def test_even_nodes_of_the_doubled_circle(self, nodes):
+        # contour._circle_fft keeps the samples at circle(r, N) as the even
+        # samples at circle(r, 2N), and evaluates only the odd nodes
+        for radius in (1.0, 0.4028, 1.37):
+            np.testing.assert_array_equal(
+                _bits(circle(radius, 2 * nodes)[::2].copy()), _bits(circle(radius, nodes))
+            )

@@ -10,6 +10,7 @@ from reflectedwalk._complex import circle
 from reflectedwalk.contour import (
     QuadratureError,
     RadiusSearchError,
+    _circle_fft,
     _plus_part,
     pollaczek_unit_grid,
 )
@@ -69,6 +70,35 @@ class TestChooseOuterRadius:
     def test_inadmissible_v_rejected(self, simple):
         with pytest.raises(ValueError):
             rw.choose_outer_radius(simple, 1.5)
+
+
+class TestCircleFFT:
+    @staticmethod
+    def _rows(w):
+        # a cubic, exact at any node count, and 1/(1 - 0.95 w), whose aliases
+        # fall by 0.95^N
+        return np.stack([w**3 + 0.5 * w, 1.0 / (1.0 - 0.95 * w)])
+
+    def test_each_node_is_sampled_once(self):
+        # from 256 nodes the cubic stops at 512 and the other row doubles on:
+        # each row is sampled at as many nodes as its spectrum has, and the
+        # spectrum is one full transform at that count, to the bit
+        sampled = np.zeros(2, dtype=int)
+
+        def f(w, live):
+            sampled[live] += w.size
+            return self._rows(w)[live]
+
+        def gap(cur, prev):
+            return np.max(np.abs(cur[:, :16] - prev[:, :16]), axis=-1)
+
+        spectra = _circle_fft(f, 1.0, rw.CircleQuadrature(), gap, rows=2)
+        assert len(spectra[0]) == 512 < len(spectra[1])
+        assert sampled.tolist() == [len(x) for x in spectra]
+        for k, spectrum in enumerate(spectra):
+            nodes = len(spectrum)
+            full = np.fft.fft(self._rows(circle(1.0, nodes))[k]) / nodes
+            np.testing.assert_array_equal(spectrum, full)
 
 
 class TestCauchyCoeff:

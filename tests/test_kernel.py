@@ -5,29 +5,12 @@ import pytest
 
 import reflectedwalk as rw
 from reflectedwalk import cli, kernel
-from reflectedwalk.kernel import _polish, kernel_deriv_eval, kernel_eval
+from reflectedwalk.kernel import kernel_eval
 
 from conftest import standard_distributions
 
 # complex u on the inversion circle and inside it, both half planes
 COMPLEX_US = (0.5 * np.exp(0.3j), 0.5 * np.exp(2.5j), 0.9 * np.exp(-1.2j), 0.3j)
-
-
-def _polish_one(dist, u, z):
-    """The per-root Newton loop that the array polish must reproduce."""
-    res = abs(kernel_eval(dist, u, z))
-    for _ in range(50):
-        if res <= kernel.POLISH_TARGET:
-            break
-        fp = kernel_deriv_eval(dist, u, z)
-        if fp == 0:
-            break
-        cand = z - kernel_eval(dist, u, z) / fp
-        cand_res = abs(kernel_eval(dist, u, cand))
-        if cand_res >= res:
-            break
-        z, res = cand, cand_res
-    return z
 
 
 def _outer_root(simple, u):
@@ -103,19 +86,16 @@ class TestFindKernelRoots:
             rs_conj = rw.find_kernel_roots(d, np.conj(u))
             _assert_same_sets(rs.roots, np.conj(rs_conj.roots), atol=1e-14)
 
-    def test_roots_just_outside_band_are_not_polished(self, simple, monkeypatch):
-        # kernel -w^2/4 + w - 1/4 at u = 0.5: roots 2 -+ sqrt(3); move the
-        # in-disk eigenvalue to |z| > 1 + POLISH_BAND, where Newton from it
-        # would reach the true root, so the count must come up short
+    def test_pushed_out_eigenvalue_raises(self, simple, monkeypatch):
+        # kernel -w^2/4 + w - 1/4 at u = 0.5: roots 2 -+ sqrt(3); an in-disk
+        # eigenvalue pushed just outside the disk is returned as it comes,
+        # so the count comes up short
         outer = _outer_root(simple, 0.5)
-        nudged = 1.0 + 1.5 * kernel.POLISH_BAND
-        _fake_eigvals(monkeypatch, [outer, nudged])
+        _fake_eigvals(monkeypatch, [outer, 1.0 + 0.5 * kernel.NEWTON_BAND])
         with pytest.raises(rw.KernelRootError, match="expected 1 in-disk roots, found 0"):
             rw.find_kernel_roots(simple, 0.5)
-        # the same start inside the band is polished into the disk
-        _fake_eigvals(monkeypatch, [outer, 1.0 + 0.5 * kernel.POLISH_BAND])
-        rs = rw.find_kernel_roots(simple, 0.5)
-        assert rs.roots[0] == pytest.approx(2.0 - np.sqrt(3.0), abs=1e-12)
+        _fake_eigvals(monkeypatch, [outer, 2.0 - np.sqrt(3.0)])
+        assert rw.find_kernel_roots(simple, 0.5).roots[0] == 2.0 - np.sqrt(3.0)
 
     def test_rouche_count_and_strict_interior(self, dists):
         for d in dists.values():
@@ -193,19 +173,19 @@ class TestBatchedRoots:
             np.testing.assert_array_equal(row, one)
 
     def test_batch_names_the_failing_u(self, simple, monkeypatch):
-        # the count check of test_roots_just_outside_band_are_not_polished,
-        # failing in the middle row of a batch only
+        # the count check of test_pushed_out_eigenvalue_raises, failing in
+        # the middle row of a batch only
         us = np.array([0.5, 0.4, 0.3])
-        inside = 1.0 + 0.5 * kernel.POLISH_BAND
-        rows = [[_outer_root(simple, u), inside] for u in us]
-        rows[1][1] = 1.0 + 1.5 * kernel.POLISH_BAND
+        inside = (1 - np.sqrt(1 - us**2)) / us
+        rows = [[_outer_root(simple, u), z] for u, z in zip(us, inside)]
+        rows[1][1] = 1.0 + 0.5 * kernel.NEWTON_BAND
         _fake_eigvals(monkeypatch, rows)
         with pytest.raises(rw.KernelRootError, match=r"found 0 at u=0\.4;"):
             rw.find_kernel_roots(simple, us)
-        rows[1][1] = inside
+        rows[1][1] = inside[1]
         _fake_eigvals(monkeypatch, rows)
         rs = rw.find_kernel_roots(simple, us)
-        np.testing.assert_allclose(rs.roots[:, 0], (1 - np.sqrt(1 - us**2)) / us, atol=1e-12)
+        np.testing.assert_array_equal(rs.roots[:, 0], inside)
 
     def test_u_outside_disk_rejected(self, simple):
         with pytest.raises(ValueError, match="< 1"):
@@ -232,7 +212,7 @@ with warnings.catch_warnings():
 
 
 class TestTrackKernelRoots:
-    """One companion solve at u[0], gated Newton roots at the other nodes."""
+    """One companion solve at u[0], certified Newton roots at the other nodes."""
 
     # the upper-half u nodes of a run at n_max = 6, TestBatchedRoots' nodes
     # on |u| = 0.5, and the structural checks' two u
@@ -242,10 +222,13 @@ class TestTrackKernelRoots:
         "batched": TestBatchedRoots.NODES,
         "checks": np.array([0.25, 0.5]),
     }
-    LAWS = TestBatchedRoots.LAWS
-    # the gate admits rows whose roots move F by at most ETA to first order,
-    # so each root is within ETA / 2 of its true value up to the kernel's
-    # evaluation error; the companion's polished roots are as close
+    # binomial(80, 0.1): P(A = 80) = 1e-80, and the tracker admits only some
+    # of its rows
+    LAWS = dict(TestBatchedRoots.LAWS)
+    LAWS["binomial-80-9"] = rw.make_family("binomial", 9, n=80, p=0.1)
+    # admitted rows lie within 7e-15 of the companion's roots on these laws;
+    # the certificate bounds F, not single roots, so this is measured, not
+    # implied
     SET_TOL = 1e-14
 
     @pytest.mark.parametrize("nodes", sorted(ARRAYS))
@@ -268,13 +251,10 @@ class TestTrackKernelRoots:
         assert tracked.max_modulus == np.max(np.abs(tracked.roots))
 
     FALLBACK = {
-        # ill-conditioned roots: the forward-error sum at u[0] reads 2e-5
+        # ill-conditioned roots: Newton from the seeds does not settle, and
+        # the rows it ends on read certificates of 2e-6 to 40
         "poisson-45-50": (rw.make_family("poisson", 50, lam=45.0), ARRAYS["u-circle"]),
-        # a double root at the origin: k'(0) = 0
-        "a-equals-s": ("a-equals-s", ARRAYS["u-circle"]),
-        # P(A=0) = 0: a simple root at the origin, where delta's scale is 0
-        "a0-zero": (A0_ZERO, ARRAYS["u-circle"]),
-        # u[0] = 0: every root at the origin
+        # u[0] = 0: every root at the origin, which seeds nothing
         "u0-zero": ("simple-walk", np.append(0.0, ARRAYS["u-circle"])),
         "u0-zero-geometric": ("geometric", np.append(0.0, ARRAYS["u-circle"])),
     }
@@ -289,34 +269,76 @@ class TestTrackKernelRoots:
         np.testing.assert_array_equal(tracked.residuals, companion.residuals)
         assert tracked.max_modulus == companion.max_modulus
 
-    def test_forward_error_is_inf_at_a_multiple_or_origin_root(self, dists):
-        u = np.array([0.3])
-        for d, z in ((dists["a-equals-s"], [0.0, 0.0]), (A0_ZERO, [0.0, 0.3])):
-            with np.errstate(all="raise"):
-                _, delta, bound = kernel._forward_errors(d, u, np.array([z], dtype=complex))
-            assert delta[0, 0] == np.inf and bound[0] == np.inf
+    ADMITTED = {
+        # a double root at the origin, k'(0) = 0: P = z^2 divides the kernel
+        # (1 - u) z^2 exactly
+        "a-equals-s": ("a-equals-s", []),
+        # P(A=0) = 0: a simple root at the origin, which Newton keeps exactly;
+        # at the last 6 nodes it draws the other seed there too, and the
+        # certificate rejects the duplicate
+        "a0-zero": (A0_ZERO, [6]),
+        "poisson-4-5": (rw.make_family("poisson", 5, lam=4.0), []),
+        "geometric-0.3-10": (rw.make_family("geometric", 10, p=0.3), []),
+    }
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", sorted(ADMITTED))
+    def test_admitted_rows_match_the_companion_as_sets(self, dists, case, monkeypatch):
+        # on the run's circle, the companion solves u[0] and the rows the
+        # certificate rejects, one stacked call for all of them
+        d, fallback = self.ADMITTED[case]
+        d = dists[d] if isinstance(d, str) else d
+        u = self.ARRAYS["u-circle"]
+        companion = rw.find_kernel_roots(d, u)
+        solved = []
+        find = kernel.find_kernel_roots
+        monkeypatch.setattr(kernel, "find_kernel_roots",
+                            lambda d, u: solved.append(np.size(u)) or find(d, u))
+        tracked = rw.track_kernel_roots(d, u)
+        assert solved == [1] + fallback
+        for row, want in zip(tracked.roots, companion.roots):
+            _assert_same_sets(row, want, self.SET_TOL)
 
     def test_gate_rejects_ill_conditioned_roots(self, dists):
-        # poisson(45), s = 50 at u[0] of the run's circle: the companion's
-        # roots are inside, separated and at roundoff, but F from roots each
-        # off by their forward error could move by 2e-5; geometric(0.5)
-        # reads 3e-16 and passes
-        u = self.ARRAYS["u-circle"][:1]
+        # poisson(45), s = 50 on the run's circle: Newton from the seeds ends
+        # inside the disk, mostly within RESIDUAL_TOL, yet on root sets whose
+        # F is off by up to a relative 1.1; their certificates read >= 2e-6
+        # against the companion's 3e-11 at u[0].  geometric(0.5)'s rows pass.
+        u = self.ARRAYS["u-circle"]
         for d, passes in ((self.FALLBACK["poisson-45-50"][0], False), (dists["geometric"], True)):
-            z = rw.find_kernel_roots(d, u).roots
-            residuals, delta, bound = kernel._forward_errors(d, u, z)
-            spread = np.abs(z[0][:, None] - z[0][None, :]) + np.diag(np.full(d.s, np.inf))
-            assert np.all(residuals <= 1e-15) and spread.min() > 2.0 * delta.max()
-            assert kernel._gate(d, u, z)[0].tolist() == [passes]
-            assert (bound[0] <= kernel.ETA) == passes
+            first = rw.find_kernel_roots(d, u[0]).roots
+            turn = (u[1:] / u[0]) ** (1.0 / d.s)
+            z, _ = kernel._newton(d, np.repeat(u[1:], d.s), (turn[:, None] * first).reshape(-1))
+            z = z.reshape(len(u) - 1, d.s)
+            assert np.all(np.abs(z) < 1.0 - kernel.IN_DISK_TOL)
+            residuals = np.abs(kernel_eval(d, u[1:, None], z))
+            assert np.sum(np.all(residuals <= kernel.RESIDUAL_TOL, axis=-1)) >= 14
+            bar = max(kernel.ETA, kernel._certificate(d, u[:1], first[None])[0])
+            assert np.all(kernel._gate(d, u[1:], z, bar)[0] == passes)
+            assert np.all((kernel._certificate(d, u[1:], z) > 1e-6) != passes)
+
+    def test_wrong_u_roots_fail_the_certificate(self):
+        # binomial(200, 0.5), s = 99: the u = 0.25 roots scored at u = 0.5
+        # have residuals near 1e-11, within RESIDUAL_TOL, yet put F(0.5, 0.3)
+        # at 0.576 instead of 1.396; their certificate reads 0.22
+        d = rw.make_family("binomial", 99, n=200, p=0.5)
+        wrong, right = rw.find_kernel_roots(d, np.array([0.25, 0.5])).roots
+        u = np.array([0.5, 0.5])
+        assert np.all(np.abs(kernel_eval(d, 0.5, wrong)) <= kernel.RESIDUAL_TOL)
+        eps_wrong, eps_right = kernel._certificate(d, u, np.array([wrong, right]))
+        assert eps_wrong > 1e-3 and eps_right < 1e-8
 
     def test_gate_rejects_a_duplicate_or_outside_root(self, dists):
         d = dists["poisson"]
         u = np.array([0.4, 0.4, 0.4])
         good = rw.find_kernel_roots(d, 0.4).roots
         z = np.array([good, [good[0], good[0]], [good[0], 1.5]])
-        ok, residuals = kernel._gate(d, u, z)
+        bar = kernel._certificate(d, u[:1], good[None])[0]
+        ok, residuals = kernel._gate(d, u, z, bar)
         assert ok.tolist() == [True, False, False]
+        # the duplicate's residuals pass, its certificate does not
+        assert np.all(residuals[1] <= kernel.RESIDUAL_TOL)
+        assert kernel._certificate(d, u[1:2], z[1:2])[0] > 1e-3
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_seed_outside_the_band_is_not_evaluated(self):
@@ -431,36 +453,3 @@ class TestLogResidueCheck:
             rw.root_logresidue_check(simple, 0.5, 0.6, 0.7, nodes=512)
         with pytest.raises(ValueError):
             rw.root_logresidue_check(simple, 0.5, 0.6, 0.1, nodes=512)
-
-
-class TestNewtonPolish:
-    def test_polish_never_increases_residual(self, dists):
-        rng = np.random.default_rng(42)
-        for d in dists.values():
-            for _ in range(10):
-                u = rng.uniform(0.05, 0.9)
-                z = rng.uniform(-0.9, 0.9) + 1j * rng.uniform(-0.5, 0.5)
-                before = abs(kernel_eval(d, u, z))
-                _, after = _polish(d, u, z)
-                assert after <= before
-
-    @pytest.mark.parametrize("u", (0.3, 0.85) + COMPLEX_US)
-    def test_array_polish_matches_per_root_loop(self, dists, u):
-        rng = np.random.default_rng(7)
-        for d in dists.values():
-            # the companion eigenvalues polished in find_kernel_roots, as they
-            # come and nudged off the roots; next to a critical point of the
-            # kernel, Newton's first step overshoots and must be rejected
-            coeffs = kernel.kernel_coeffs(d, u)[::-1]
-            eig = np.roots(coeffs).astype(complex)
-            eig = eig[np.abs(eig) < 1.0 + kernel.POLISH_BAND]
-            crit = np.roots(np.polyder(coeffs)) + 1e-7 * (1 + 1j)
-            z0 = np.concatenate([eig, crit] + [
-                eig + scale * (rng.standard_normal(eig.shape) + 1j * rng.standard_normal(eig.shape))
-                for scale in (1e-6, 1e-3)
-            ])
-            z, res = _polish(d, u, z0)
-            want = np.array([_polish_one(d, u, complex(w)) for w in z0])
-            np.testing.assert_allclose(z, want, rtol=0, atol=1e-14)
-            assert np.all(res <= np.abs(kernel_eval(d, u, z0)))
-            np.testing.assert_array_equal(res, np.abs(kernel_eval(d, u, z)))

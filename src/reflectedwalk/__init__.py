@@ -29,7 +29,6 @@ from .kernel import (
     find_kernel_roots,
     product_eval,
     root_logresidue_check,
-    track_kernel_roots,
 )
 from .oracle import (
     DistributionTable,
@@ -65,7 +64,6 @@ __all__ = [
     "find_kernel_roots",
     "product_eval",
     "root_logresidue_check",
-    "track_kernel_roots",
     "DistributionTable",
     "functional_equation_check",
     "lindley_dp",

@@ -260,8 +260,9 @@ def _invert_transform(evaluator, d, cfg: RunConfig) -> np.ndarray:
     evaluator(u_nodes, z_nodes) is called once, with the whole array of u
     nodes and z_nodes the nz-th roots of unity in order, and returns the
     (len(u_nodes), nz) block F(u_i, z_j).  The transform routes evaluate
-    the block as arrays: the product route makes one stacked eigen-solve
-    for the kernel roots at every u node, and the Pollaczek route one
+    the block as arrays: the product route finds the kernel roots by one
+    companion solve at u[0] and certified Newton rows at the other nodes
+    (kernel.find_kernel_roots), and the Pollaczek route makes one
     plus-part FFT per node count, each u row doubling its node count
     until its own gap converges.  nz exceeds both the full support of
     M_{n_max} and m_max, so the z inversion is alias-free; the u circle
@@ -297,7 +298,7 @@ def _compute_tables(d, cfg: RunConfig, methods, cert) -> dict:
     if "product" in methods:
 
         def product_evaluator(u_nodes, z_nodes):
-            roots = kernel.track_kernel_roots(d, u_nodes)
+            roots = kernel.find_kernel_roots(d, u_nodes)
             return kernel.product_eval(d, u_nodes, z_nodes, roots)
 
         probs = _invert_transform(product_evaluator, d, cfg)
@@ -351,9 +352,10 @@ def _structural_checks(d, dp_table, cert) -> list:
     res = oracle.functional_equation_check(d, dp_table, rows, FUNCTIONAL_Z_GRID)
     checks.append(_checked("functional-equation", float(np.max(res, initial=0.0))))
     # numerator polynomial annihilated by the kernel roots, at both u from one
-    # tracker call; the u = 0.5 roots also serve the log-residue check below
+    # find_kernel_roots call; the u = 0.5 roots also serve the log-residue
+    # check below
     us = (0.25, 0.5)
-    roots = kernel.track_kernel_roots(d, np.array(us))
+    roots = kernel.find_kernel_roots(d, np.array(us))
     res = max(oracle.numerator_check(d, u, roots.row(k), CHECK_TOL["numerator"])
               for k, u in enumerate(us))
     checks.append(_checked("numerator", res))

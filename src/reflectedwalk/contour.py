@@ -36,6 +36,7 @@ from ._complex import cexp, circle, clog
 from .dist import IncrementDistribution, pgf_eval, walk_pmf
 
 OUTER_RADIUS_CAP = 8.0
+OUTER_RADIUS_GRID = 400    # radii scanned by choose_outer_radius
 MARGIN_SLACK = 1e-3
 
 
@@ -81,9 +82,7 @@ class RadiusCertificate:
             raise ValueError(f"margin {self.margin!r} too close to 1")
 
 
-def choose_outer_radius(
-    dist: IncrementDistribution, v: float, grid_points: int = 400
-) -> RadiusCertificate:
+def choose_outer_radius(dist: IncrementDistribution, v: float) -> RadiusCertificate:
     """Scan a geometric grid of radii b in (1, min(R, cap)) for the best margin.
 
     A has nonnegative coefficients, so max_{|w|=b} |A(w)| = A(b) and the
@@ -98,7 +97,7 @@ def choose_outer_radius(
     # close to the unit circle, L(w) varies faster on it and the plus-part
     # FFT needs more nodes
     lo = 1.0 + 0.05 * min(1.0, hi - 1.0)
-    grid = np.geomspace(lo, hi, grid_points)
+    grid = np.geomspace(lo, hi, OUTER_RADIUS_GRID)
     ratios = v * pgf_eval(dist, grid).real / grid**dist.s
     best = int(np.argmin(ratios))
     if ratios[best] > 1.0 - MARGIN_SLACK:

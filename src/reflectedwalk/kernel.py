@@ -15,25 +15,23 @@ disk, Rouche keeps the count, and |log(F_roots / F)| <= -2 log(1 - eps)
 at every |z| = 1, however ill-conditioned the single roots are.  Rounding
 adds O(J eps) to the computed eps.
 
-There are two entry points.
+find_kernel_roots is the one entry point, for a scalar u or an array of
+them.  At u[0] it solves globally via companion-matrix eigenvalues, as
+np.roots does: one eigenvalue call, as a real matrix for a real u.  The
+s eigenvalues with |z| < 1 - IN_DISK_TOL, which must be s, are kept as
+they come, and every one must meet RESIDUAL_TOL, or KernelRootError
+names the u.  The companion's eigenvalues are backward stable as a set,
+the exact roots of one nearby polynomial, so their product is accurate
+even where single roots are not.
 
-find_kernel_roots, for a scalar u or an array of them, solves globally
-via companion-matrix eigenvalues: the companion matrices of every u are
-stacked and solved by one eigenvalue call, the rows of a real u apart, as
-real matrices.  It returns the eigenvalues as they come: the s with
-|z| < 1 - IN_DISK_TOL, which must be s at every u, and every one within
-RESIDUAL_TOL, or KernelRootError names the u.  The companion's
-eigenvalues are backward stable as a set, the exact roots of one nearby
-polynomial, so their product is accurate even where single roots are not.
-
-track_kernel_roots, for an array of u, makes that companion solve at u[0]
-only.  The roots z_k(u) are analytic in u, so it seeds every other node
-with z_k(u_0) (u/u_0)^(1/s) and runs Newton on all (u, root) pairs at
-once, each to roundoff.  A node keeps its Newton roots only if every pair
-reached that stop, all s lie inside the disk and within RESIDUAL_TOL, and
-their certificate is at most max(ETA, eps_0), eps_0 being the
-certificate of u[0]'s companion roots.  Every other node takes one
-stacked find_kernel_roots call.
+The roots z_k(u) are analytic in u, so every other node of an array is
+seeded with z_k(u_0) (u/u_0)^(1/s), and Newton runs on all (u, root)
+pairs at once, each to roundoff.  A node keeps its Newton roots only if
+every pair reached that stop, all s lie inside the disk and within
+RESIDUAL_TOL, and their certificate is at most max(ETA, eps_0), eps_0
+being the certificate of u[0]'s companion roots.  Every other node, and
+every node when u[0] = 0 leaves nothing to seed from, gets its own
+companion solve.
 
 A small residual per root does not certify the product.  On poisson(45),
 s = 50, Newton from the seeds ends on root sets that mostly meet
@@ -54,8 +52,8 @@ from .dist import IncrementDistribution, pgf_deriv_eval, pgf_eval
 IN_DISK_TOL = 1e-12        # strict in-disk selection margin
 RESIDUAL_TOL = 1e-10       # hard cap on accepted root residuals
 NEWTON_BAND = 1e-3         # Newton runs only while |z| < 1 + NEWTON_BAND
-NEWTON_STEPS = 50          # cap on the tracker's Newton steps per root
-# relative accuracy assumed for one evaluation of F(u, z): the tracker
+NEWTON_STEPS = 50          # cap on Newton's steps per root
+# relative accuracy assumed for one evaluation of F(u, z): find_kernel_roots
 # admits Newton roots whose certificate is within it (or within the
 # companion's), and the u inversion's error bound (cli.u_circle_bound)
 # amplifies it
@@ -70,13 +68,11 @@ class KernelRootError(RuntimeError):
 class RootSet:
     """The s in-disk kernel roots for a scalar u, or row k for u[k] of an array.
 
-    roots and residuals have shape u.shape + (s,); max_modulus is the
-    largest |z_k| over the whole set.
+    roots and residuals have shape u.shape + (s,).
     """
 
     roots: np.ndarray
     residuals: np.ndarray
-    max_modulus: float
 
     def __post_init__(self):
         r = np.asarray(self.roots, dtype=complex)
@@ -89,10 +85,14 @@ class RootSet:
     def __len__(self) -> int:
         return self.roots.shape[-1]
 
+    @property
+    def max_modulus(self) -> float:
+        """The largest |z_k| over the whole set."""
+        return float(np.max(np.abs(self.roots), initial=0.0))
+
     def row(self, k: int) -> "RootSet":
         """Row k alone: the RootSet of the scalar u[k]."""
-        roots = self.roots[k]
-        return RootSet(roots, self.residuals[k], float(np.max(np.abs(roots), initial=0.0)))
+        return RootSet(self.roots[k], self.residuals[k])
 
 
 def kernel_coeffs(dist: IncrementDistribution, u) -> np.ndarray:
@@ -114,65 +114,51 @@ def kernel_deriv_eval(dist: IncrementDistribution, u: complex, w):
 
 
 def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
-    """All roots of each row of ascending coefficients, as np.roots finds them.
+    """All roots of one row of ascending coefficients, as np.roots finds them.
 
-    Zero coefficients at either end are stripped as np.roots strips them:
-    each zero at the low end is a root at the origin, and u = 0 zeroes both
-    ends.  A row whose imaginary parts are all zero (every real u) is solved
-    as a real matrix, as np.roots solves a real polynomial: LAPACK's real
-    eigensolver takes a third to a half of the complex one's time.  Rows
-    with the same zero pattern and realness share one stacked eigenvalue
-    call, so a batch row equals its scalar call to the bit.  A row with
-    fewer roots than the widest one is padded with inf, which lies in no
-    disk.
+    Zero coefficients at either end are stripped: each zero at the low end
+    is a root at the origin, and u = 0 zeroes both ends.  A row whose
+    imaginary parts are all zero (every real u) is solved as a real matrix,
+    as np.roots solves a real polynomial: LAPACK's real eigensolver takes a
+    third to a half of the complex one's time.
     """
-    nonzero = coeffs != 0
-    low = np.argmax(nonzero, axis=-1)
-    high = coeffs.shape[-1] - 1 - np.argmax(nonzero[:, ::-1], axis=-1)
-    real = ~np.any(coeffs.imag, axis=-1)
-    cand = np.full((len(coeffs), int(high.max())), np.inf, dtype=complex)
-    for lo, hi, re in sorted(set(zip(low.tolist(), high.tolist(), real.tolist()))):
-        rows = np.flatnonzero((low == lo) & (high == hi) & (real == re))
-        n = hi - lo
-        if n:
-            p = coeffs[rows, lo : hi + 1][:, ::-1]
-            if re:
-                p = p.real
-            companion = np.zeros((len(rows), n, n), dtype=p.dtype)
-            companion[:, 1:, :-1] = np.eye(n - 1)
-            companion[:, 0, :] = -p[:, 1:] / p[:, :1]
-            cand[rows, :n] = np.linalg.eigvals(companion)
-        cand[rows, n:hi] = 0.0
-    return cand
+    nonzero = np.flatnonzero(coeffs)
+    lo, hi = nonzero[0], nonzero[-1]
+    p = coeffs[lo : hi + 1][::-1]
+    if not np.any(p.imag):
+        p = p.real
+    n = hi - lo
+    roots = np.zeros(hi, dtype=complex)
+    if n:
+        companion = np.diag(np.ones(n - 1, dtype=p.dtype), -1)
+        companion[0, :] = -p[1:] / p[0]
+        roots[:n] = np.linalg.eigvals(companion)
+    return roots
 
 
-def find_kernel_roots(dist: IncrementDistribution, u) -> RootSet:
-    """All s kernel roots with |z| < 1 at u, a scalar or an array.
+def _companion_rows(dist: IncrementDistribution, us: np.ndarray):
+    """The s in-disk roots and their residuals at each u of a 1-D array.
 
-    One stacked companion solve serves every u.  A u whose in-disk count is
-    not s, or whose roots miss RESIDUAL_TOL, raises KernelRootError naming
-    that u.
+    One companion solve per u.  A u whose in-disk count is not s, or whose
+    roots miss RESIDUAL_TOL, raises KernelRootError naming that u.
     """
-    u_arr = np.asarray(u)
-    us = u_arr.reshape(-1)
-    if np.any(np.abs(us) >= 1):
-        raise ValueError(f"|u| must be < 1, got {float(np.max(np.abs(us)))!r}")
-    cand = _companion_roots(kernel_coeffs(dist, us))
-    inside = np.abs(cand) < 1.0 - IN_DISK_TOL
-    found = np.count_nonzero(inside, axis=-1)
-    bad = found != dist.s
+    s = dist.s
+    cand = [_companion_roots(c) for c in kernel_coeffs(dist, us)]
+    flat = np.concatenate(cand)
+    inside = np.abs(flat) < 1.0 - IN_DISK_TOL
+    row = np.repeat(np.arange(len(us)), [len(c) for c in cand])
+    found = np.bincount(row[inside], minlength=len(us))
+    bad = found != s
     if bad.any():
         k = int(np.argmax(bad))
-        moduli = np.abs(cand[k])
         raise KernelRootError(
-            f"expected {dist.s} in-disk roots, found {found[k]} at u={us[k].item()!r}; "
-            f"all root moduli: {sorted(moduli[np.isfinite(moduli)].tolist())}"
+            f"expected {s} in-disk roots, found {found[k]} at u={us[k].item()!r}; "
+            f"all root moduli: {sorted(np.abs(cand[k]).tolist())}"
         )
-    roots = cand[inside].reshape(len(us), dist.s)
+    roots = flat[inside].reshape(len(us), s)
     # deterministic ordering: by real part, then imaginary part
     roots = np.take_along_axis(roots, np.lexsort((roots.imag, roots.real), axis=-1), axis=-1)
-    # one flat array of (u, root) pairs, as a scalar call evaluates them
-    residuals = np.abs(kernel_eval(dist, np.repeat(us, dist.s), roots.reshape(-1)))
+    residuals = np.abs(kernel_eval(dist, np.repeat(us, s), roots.reshape(-1)))
     residuals = residuals.reshape(roots.shape)
     bad = np.any(residuals > RESIDUAL_TOL, axis=-1)
     if bad.any():
@@ -181,18 +167,13 @@ def find_kernel_roots(dist: IncrementDistribution, u) -> RootSet:
             f"root residuals exceed {RESIDUAL_TOL}: {residuals[k].tolist()} "
             f"at u={us[k].item()!r}"
         )
-    shape = u_arr.shape + (dist.s,)
-    return RootSet(
-        roots=roots.reshape(shape),
-        residuals=residuals.reshape(shape),
-        max_modulus=float(np.max(np.abs(roots), initial=0.0)),
-    )
+    return roots, residuals
 
 
 def _kernel_terms(dist, u, z):
     """k(z), k'(z) and the powers z^0 .. z^max(s, J) at 1-D arrays u and z.
 
-    One table of powers and two matrix products: the tracker evaluates
+    One table of powers and two matrix products: Newton evaluates
     small arrays many times, where np.polyval's loop over the coefficients
     would cost more than the arithmetic.
     """
@@ -265,49 +246,44 @@ def _newton(dist, u, z):
     return z, done
 
 
-def track_kernel_roots(dist: IncrementDistribution, u) -> RootSet:
-    """The s in-disk kernel roots at every u of an array, from one companion solve.
+def find_kernel_roots(dist: IncrementDistribution, u) -> RootSet:
+    """All s kernel roots with |z| < 1 at u, a scalar or an array.
 
-    Solves u[0] by find_kernel_roots, seeds every other node with
+    Solves u[0] by its companion matrix, seeds every other node with
     z_k(u_0) (u/u_0)^(1/s), Newton-iterates all pairs to roundoff and keeps
     the rows that converged and pass the gate with bar max(ETA, eps_0),
     eps_0 being the certificate of u[0]'s roots (see the module docstring).
-    The rest, or every row when u[0] = 0 leaves nothing to seed from, come
-    from one stacked find_kernel_roots call and equal its rows to the bit.
-    Accepted rows are ordered as find_kernel_roots orders its rows.
+    The rest, or every row when u[0] = 0 leaves nothing to seed from, get
+    their own companion solves.  Every row is ordered by real part, then
+    imaginary part.  A companion row whose in-disk count is not s, or whose
+    roots miss RESIDUAL_TOL, raises KernelRootError naming its u.
     """
     u_arr = np.asarray(u)
     us = u_arr.reshape(-1)
     if np.any(np.abs(us) >= 1):
         raise ValueError(f"|u| must be < 1, got {float(np.max(np.abs(us)))!r}")
     s = dist.s
-    first = find_kernel_roots(dist, us[0])
     roots = np.empty((len(us), s), dtype=complex)
     residuals = np.empty((len(us), s))
-    roots[0], residuals[0] = first.roots, first.residuals
+    roots[:1], residuals[:1] = _companion_rows(dist, us[:1])
     rest = us[1:]
     fallback = np.ones(len(rest), dtype=bool)
     if len(rest) and us[0] != 0:
         ratio = rest / us[0]
         turn = np.abs(ratio) ** (1.0 / s) * cexp(1j * np.angle(ratio) / s)
-        z, done = _newton(dist, np.repeat(rest, s), (turn[:, None] * first.roots).reshape(-1))
+        z, done = _newton(dist, np.repeat(rest, s), (turn[:, None] * roots[0]).reshape(-1))
         z, done = z.reshape(len(rest), s), done.reshape(len(rest), s).all(axis=-1)
         z = np.take_along_axis(z, np.lexsort((z.imag, z.real), axis=-1), axis=-1)
-        bar = max(ETA, float(_certificate(dist, us[:1], first.roots[None])[0]))
+        bar = max(ETA, float(_certificate(dist, us[:1], roots[:1])[0]))
         ok, res = _gate(dist, rest[done], z[done], bar)
         accepted = np.flatnonzero(done)[ok]
         roots[1 + accepted], residuals[1 + accepted] = z[accepted], res[ok]
         fallback[accepted] = False
     if fallback.any():
-        again = find_kernel_roots(dist, rest[fallback])
         rows = 1 + np.flatnonzero(fallback)
-        roots[rows], residuals[rows] = again.roots, again.residuals
+        roots[rows], residuals[rows] = _companion_rows(dist, rest[fallback])
     shape = u_arr.shape + (s,)
-    return RootSet(
-        roots=roots.reshape(shape),
-        residuals=residuals.reshape(shape),
-        max_modulus=float(np.max(np.abs(roots), initial=0.0)),
-    )
+    return RootSet(roots=roots.reshape(shape), residuals=residuals.reshape(shape))
 
 
 def product_eval(dist: IncrementDistribution, u, z, roots: RootSet):

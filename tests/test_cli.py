@@ -118,17 +118,18 @@ class TestRun:
         assert bool(result.report.environment["radius_certificate"]) == bool(searches)
 
     def test_one_root_solve_in_the_structural_checks(self, monkeypatch):
-        # one tracker call serves both numerator-check u: the companion solve
-        # at u = 0.25 seeds u = 0.5, whose Newton roots pass the certificate on
-        # the simple walk; the log-residue check reuses the u = 0.5 roots
+        # one find_kernel_roots call serves both numerator-check u: the
+        # companion solve at u = 0.25 seeds u = 0.5, whose Newton roots pass
+        # the certificate on the simple walk; the log-residue check reuses
+        # the u = 0.5 roots
         calls = []
-        solve = rw.kernel.find_kernel_roots
+        solve = rw.kernel._companion_rows
         monkeypatch.setattr(
-            rw.kernel, "find_kernel_roots", lambda *a: calls.append(a[1]) or solve(*a)
+            rw.kernel, "_companion_rows", lambda *a: calls.append(a[1].tolist()) or solve(*a)
         )
         result = cli.run(cli.parse_config(SIMPLE_CONFIG))
         assert result.report.all_passed
-        assert calls == [0.25]
+        assert calls == [[0.25]]
 
     def test_one_coefficient_extraction_per_l(self, monkeypatch):
         # every k of one l comes from one transform of A(w)^l
@@ -506,9 +507,9 @@ class TestRandomizedCrossCheck:
     @settings(max_examples=30, deadline=None)
     @given(_walk_laws())
     def test_tracked_product_within_its_bound(self, law):
-        # on the u and z grids of the run above: a node the tracker accepted
-        # is within both certificates of the companion's F; one it sent back
-        # is the companion's row, bit for bit
+        # on the u and z grids of the run above: a node whose Newton roots
+        # passed the gate is within both certificates of the companion's F;
+        # one the gate sent back is the companion's row, bit for bit
         weights, s = law
         d = rw.make_family("explicit", s, probs=[w / sum(weights) for w in weights])
         n_max = 4
@@ -516,7 +517,8 @@ class TestRandomizedCrossCheck:
         u = r * np.exp(2j * np.pi * np.arange(nu // 2 + 1) / nu)
         nz = cli._next_pow2(n_max * d.support_growth + 1)
         z = np.exp(2j * np.pi * np.arange(nz) / nz)
-        tracked, companion = rw.track_kernel_roots(d, u), rw.find_kernel_roots(d, u)
+        tracked = rw.find_kernel_roots(d, u)
+        companion = rw.kernel.RootSet(*rw.kernel._companion_rows(d, u))
         f_tracked = rw.product_eval(d, u, z, tracked)
         f_companion = rw.product_eval(d, u, z, companion)
         eps_t = rw.kernel._certificate(d, u, tracked.roots)

@@ -20,9 +20,9 @@ def _outer_root(simple, u):
 
 
 def _fake_eigvals(monkeypatch, rows):
-    """Make the stacked companion solve return `rows`, one per matrix."""
-    rows = np.array(rows, dtype=complex, ndmin=2)
-    monkeypatch.setattr(np.linalg, "eigvals", lambda stack: rows)
+    """Make the companion solves return `rows`, the next one per call."""
+    rows = iter(np.array(rows, dtype=complex, ndmin=2))
+    monkeypatch.setattr(np.linalg, "eigvals", lambda companion: next(rows))
 
 
 def _assert_same_sets(a, b, atol):
@@ -115,7 +115,7 @@ class TestFindKernelRoots:
 
 
 class TestBatchedRoots:
-    """An array of u is one stacked solve whose rows are the scalar calls."""
+    """Companion rows: one solve per u, each row its scalar call to the bit."""
 
     LAWS = dict(standard_distributions(), heavy=rw.make_family("poisson", 15, lam=14.0))
     # the upper-half inversion nodes at |u| = 0.5, and two lower-half points
@@ -123,33 +123,34 @@ class TestBatchedRoots:
 
     @pytest.mark.parametrize("law", sorted(LAWS))
     def test_rows_match_scalar_calls(self, law):
+        # the rows an array call sends to the companion equal their scalar
+        # calls, which are companion solves
         d = self.LAWS[law]
-        batch = rw.find_kernel_roots(d, self.NODES)
-        assert batch.roots.shape == batch.residuals.shape == (len(self.NODES), d.s)
-        assert len(batch) == d.s
-        moduli = []
+        roots, residuals = kernel._companion_rows(d, self.NODES)
+        assert roots.shape == residuals.shape == (len(self.NODES), d.s)
         for k, u in enumerate(self.NODES):
             one = rw.find_kernel_roots(d, u)
-            np.testing.assert_array_equal(batch.roots[k], one.roots)
-            np.testing.assert_array_equal(batch.residuals[k], one.residuals)
-            moduli.append(one.max_modulus)
-        assert batch.max_modulus == max(moduli)
+            np.testing.assert_array_equal(roots[k], one.roots)
+            np.testing.assert_array_equal(residuals[k], one.residuals)
+        batch = rw.find_kernel_roots(d, self.NODES)
+        assert len(batch) == d.s
+        assert batch.max_modulus == max(batch.row(k).max_modulus for k in range(len(self.NODES)))
 
     @pytest.mark.parametrize("law", sorted(LAWS))
     def test_stacked_solve_matches_np_roots(self, law):
-        # np.roots, one u at a time, is the reference for every row,
-        # u = 0 included; the inf padding of short rows is no root.  A real
-        # row is passed as real, as np.roots then solves it in real arithmetic
-        d = self.LAWS[law]
-        coeffs = kernel.kernel_coeffs(d, np.append(self.NODES, 0.0))
-        cand = kernel._companion_roots(coeffs)
-        for row, c in zip(cand, coeffs):
-            p = c[::-1] if np.any(c.imag) else c[::-1].real
-            np.testing.assert_array_equal(row[np.isfinite(row)], np.roots(p))
+        # np.roots is the reference for every row, u = 0 included, where
+        # both ends of the coefficients are stripped; so is it for
+        # P(A=0) = 0, whose zero low end is a root at the origin at every u.
+        # A real row is passed as real, as np.roots then solves it in real
+        # arithmetic
+        for d in (self.LAWS[law], A0_ZERO):
+            for c in kernel.kernel_coeffs(d, np.append(self.NODES, 0.0)):
+                p = c[::-1] if np.any(c.imag) else c[::-1].real
+                np.testing.assert_array_equal(kernel._companion_roots(c), np.roots(p))
 
     def test_u_zero_and_roots_at_origin_in_a_batch(self, dists):
         # u = 0 strips both ends of the kernel's coefficients, and P(A=0) = 0
-        # its low end at every u: such rows are solved apart, same results
+        # its low end at every u; u[0] = 0 sends every row to the companion
         us = np.array([0.0, 0.3, 0.5j, 0.0])
         for d in dists.values():
             batch = rw.find_kernel_roots(d, us)
@@ -158,34 +159,36 @@ class TestBatchedRoots:
             np.testing.assert_allclose(batch.roots[0], 0.0, atol=1e-12)
 
     def test_real_rows_solved_in_real_arithmetic(self, dists, monkeypatch):
-        # the real u share one real eigenvalue call, the others one complex
-        # call, and each row still equals its scalar call to the bit
+        # each real u makes one real eigenvalue call, each other u one
+        # complex call, and each row still equals its scalar call to the bit
         d = dists["poisson"]
         us = np.array([0.25, 0.3j, 0.5, 0.5 * np.exp(0.3j)])
         expected = [rw.find_kernel_roots(d, u).roots for u in us]
         solved = []
         eigvals = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals",
-                            lambda a: solved.append((a.dtype, len(a))) or eigvals(a))
-        batch = rw.find_kernel_roots(d, us)
-        assert sorted(solved, key=str) == [(np.complex128, 2), (np.float64, 2)]
-        for row, one in zip(batch.roots, expected):
+                            lambda a: solved.append((a.dtype, a.ndim)) or eigvals(a))
+        roots, _ = kernel._companion_rows(d, us)
+        assert solved == [(np.float64, 2), (np.complex128, 2)] * 2
+        for row, one in zip(roots, expected):
             np.testing.assert_array_equal(row, one)
 
     def test_batch_names_the_failing_u(self, simple, monkeypatch):
         # the count check of test_pushed_out_eigenvalue_raises, failing in
-        # the middle row of a batch only
-        us = np.array([0.5, 0.4, 0.3])
-        inside = (1 - np.sqrt(1 - us**2)) / us
-        rows = [[_outer_root(simple, u), z] for u, z in zip(us, inside)]
-        rows[1][1] = 1.0 + 0.5 * kernel.NEWTON_BAND
+        # the middle row of a batch only.  u[0] = 0 makes every row a
+        # companion row, and its kernel w, stripped at both ends, needs no
+        # eigenvalue call: the faked rows serve u = 0.4 and 0.3
+        us = np.array([0.0, 0.4, 0.3])
+        inside = (1 - np.sqrt(1 - us[1:] ** 2)) / us[1:]
+        rows = [[_outer_root(simple, u), z] for u, z in zip(us[1:], inside)]
+        rows[0][1] = 1.0 + 0.5 * kernel.NEWTON_BAND
         _fake_eigvals(monkeypatch, rows)
         with pytest.raises(rw.KernelRootError, match=r"found 0 at u=0\.4;"):
             rw.find_kernel_roots(simple, us)
-        rows[1][1] = inside[1]
+        rows[0][1] = inside[0]
         _fake_eigvals(monkeypatch, rows)
         rs = rw.find_kernel_roots(simple, us)
-        np.testing.assert_array_equal(rs.roots[:, 0], inside)
+        np.testing.assert_array_equal(rs.roots[:, 0], np.append(0.0, inside))
 
     def test_u_outside_disk_rejected(self, simple):
         with pytest.raises(ValueError, match="< 1"):
@@ -200,7 +203,7 @@ class TestBatchedRoots:
         assert grid.shape == (len(self.NODES), len(zs))
         column = rw.product_eval(d, self.NODES, 0.5, batch)
         for k, u in enumerate(self.NODES):
-            one = rw.find_kernel_roots(d, u)
+            one = batch.row(k)
             np.testing.assert_array_equal(grid[k], rw.product_eval(d, u, zs, one))
             assert column[k] == rw.product_eval(d, u, 0.5, one)
 
@@ -212,7 +215,8 @@ with warnings.catch_warnings():
 
 
 class TestTrackKernelRoots:
-    """One companion solve at u[0], certified Newton roots at the other nodes."""
+    """An array of u: one companion solve at u[0], certified Newton roots at
+    the other nodes, companion solves for the rows the gate rejects."""
 
     # the upper-half u nodes of a run at n_max = 6, TestBatchedRoots' nodes
     # on |u| = 0.5, and the structural checks' two u
@@ -222,7 +226,7 @@ class TestTrackKernelRoots:
         "batched": TestBatchedRoots.NODES,
         "checks": np.array([0.25, 0.5]),
     }
-    # binomial(80, 0.1): P(A = 80) = 1e-80, and the tracker admits only some
+    # binomial(80, 0.1): P(A = 80) = 1e-80, and the gate admits only some
     # of its rows
     LAWS = dict(TestBatchedRoots.LAWS)
     LAWS["binomial-80-9"] = rw.make_family("binomial", 9, n=80, p=0.1)
@@ -235,14 +239,14 @@ class TestTrackKernelRoots:
     @pytest.mark.parametrize("law", sorted(LAWS))
     def test_rows_match_the_companion_as_sets(self, law, nodes):
         d, u = self.LAWS[law], self.ARRAYS[nodes]
-        tracked, companion = rw.track_kernel_roots(d, u), rw.find_kernel_roots(d, u)
+        tracked, (companion, _) = rw.find_kernel_roots(d, u), kernel._companion_rows(d, u)
         assert tracked.roots.shape == tracked.residuals.shape == (len(u), d.s)
         for k in range(len(u)):
-            _assert_same_sets(tracked.roots[k], companion.roots[k], self.SET_TOL)
-            # rows keep find_kernel_roots' order: by real part, then imaginary
+            _assert_same_sets(tracked.roots[k], companion[k], self.SET_TOL)
+            # rows keep the companion rows' order: by real part, then imaginary
             row = tracked.roots[k]
             np.testing.assert_array_equal(row, row[np.lexsort((row.imag, row.real))])
-        # |k(z)| as the tracker evaluates it, from a table of powers
+        # |k(z)| as the gate evaluates it, from a table of powers
         np.testing.assert_allclose(
             tracked.residuals, np.abs(kernel_eval(d, u[:, None], tracked.roots)),
             rtol=0, atol=1e-15,
@@ -264,10 +268,10 @@ class TestTrackKernelRoots:
     def test_fallback_rows_are_the_companion_rows(self, dists, case):
         d, u = self.FALLBACK[case]
         d = dists[d] if isinstance(d, str) else d
-        tracked, companion = rw.track_kernel_roots(d, u), rw.find_kernel_roots(d, u)
-        np.testing.assert_array_equal(tracked.roots, companion.roots)
-        np.testing.assert_array_equal(tracked.residuals, companion.residuals)
-        assert tracked.max_modulus == companion.max_modulus
+        tracked, (roots, residuals) = rw.find_kernel_roots(d, u), kernel._companion_rows(d, u)
+        np.testing.assert_array_equal(tracked.roots, roots)
+        np.testing.assert_array_equal(tracked.residuals, residuals)
+        assert tracked.max_modulus == np.max(np.abs(roots))
 
     ADMITTED = {
         # a double root at the origin, k'(0) = 0: P = z^2 divides the kernel
@@ -284,19 +288,19 @@ class TestTrackKernelRoots:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("case", sorted(ADMITTED))
     def test_admitted_rows_match_the_companion_as_sets(self, dists, case, monkeypatch):
-        # on the run's circle, the companion solves u[0] and the rows the
-        # certificate rejects, one stacked call for all of them
+        # on the run's circle, the companion solves u[0], then the rows the
+        # certificate rejects, one call for all of them
         d, fallback = self.ADMITTED[case]
         d = dists[d] if isinstance(d, str) else d
         u = self.ARRAYS["u-circle"]
-        companion = rw.find_kernel_roots(d, u)
+        companion, _ = kernel._companion_rows(d, u)
         solved = []
-        find = kernel.find_kernel_roots
-        monkeypatch.setattr(kernel, "find_kernel_roots",
-                            lambda d, u: solved.append(np.size(u)) or find(d, u))
-        tracked = rw.track_kernel_roots(d, u)
+        rows = kernel._companion_rows
+        monkeypatch.setattr(kernel, "_companion_rows",
+                            lambda d, u: solved.append(np.size(u)) or rows(d, u))
+        tracked = rw.find_kernel_roots(d, u)
         assert solved == [1] + fallback
-        for row, want in zip(tracked.roots, companion.roots):
+        for row, want in zip(tracked.roots, companion):
             _assert_same_sets(row, want, self.SET_TOL)
 
     def test_gate_rejects_ill_conditioned_roots(self, dists):
@@ -322,7 +326,7 @@ class TestTrackKernelRoots:
         # have residuals near 1e-11, within RESIDUAL_TOL, yet put F(0.5, 0.3)
         # at 0.576 instead of 1.396; their certificate reads 0.22
         d = rw.make_family("binomial", 99, n=200, p=0.5)
-        wrong, right = rw.find_kernel_roots(d, np.array([0.25, 0.5])).roots
+        wrong, right = kernel._companion_rows(d, np.array([0.25, 0.5]))[0]
         u = np.array([0.5, 0.5])
         assert np.all(np.abs(kernel_eval(d, 0.5, wrong)) <= kernel.RESIDUAL_TOL)
         eps_wrong, eps_right = kernel._certificate(d, u, np.array([wrong, right]))
@@ -351,23 +355,28 @@ class TestTrackKernelRoots:
 
     def test_one_companion_matrix_per_u_circle(self, dists, monkeypatch):
         # geometric(0.5), s = 1: one companion solve at u[0] serves all 17
-        # nodes (one per node before the tracker)
+        # nodes (one per node without Newton)
         solved = []
         eigvals = np.linalg.eigvals
-        monkeypatch.setattr(np.linalg, "eigvals", lambda a: solved.append(len(a)) or eigvals(a))
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: solved.append(a.ndim) or eigvals(a))
         cfg = cli.RunConfig(family="geometric", s=1, n_max=6, m_max=6)
         cli._compute_tables(dists["geometric"], cfg, ("product",), None)
-        assert solved == [1]
+        assert solved == [2]
 
     def test_row_is_the_scalar_root_set(self, dists):
         d = dists["poisson"]
         u = self.ARRAYS["checks"]
         rs = rw.find_kernel_roots(d, u)
         for k in range(len(u)):
-            one, row = rw.find_kernel_roots(d, u[k]), rs.row(k)
-            np.testing.assert_array_equal(row.roots, one.roots)
-            np.testing.assert_array_equal(row.residuals, one.residuals)
-            assert row.max_modulus == one.max_modulus
+            row = rs.row(k)
+            np.testing.assert_array_equal(row.roots, rs.roots[k])
+            np.testing.assert_array_equal(row.residuals, rs.residuals[k])
+            assert row.max_modulus == np.max(np.abs(rs.roots[k]))
+        # u[0] is a companion row: the scalar call's, to the bit
+        one = rw.find_kernel_roots(d, u[0])
+        np.testing.assert_array_equal(rs.row(0).roots, one.roots)
+        np.testing.assert_array_equal(rs.row(0).residuals, one.residuals)
+        assert rs.row(0).max_modulus == one.max_modulus
 
 
 class TestProductEval:

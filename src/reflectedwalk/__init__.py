@@ -20,7 +20,6 @@ from .dist import (
     IncrementDistribution,
     make_family,
     pgf_eval,
-    positive_part_pgf,
     walk_pmf,
 )
 from .kernel import (
@@ -37,7 +36,6 @@ from .oracle import (
     numerator_check,
 )
 from .series import (
-    USeries,
     series_exp,
     series_log,
     spitzer_series,
@@ -57,7 +55,6 @@ __all__ = [
     "IncrementDistribution",
     "make_family",
     "pgf_eval",
-    "positive_part_pgf",
     "walk_pmf",
     "KernelRootError",
     "RootSet",
@@ -68,7 +65,6 @@ __all__ = [
     "functional_equation_check",
     "lindley_dp",
     "numerator_check",
-    "USeries",
     "series_exp",
     "series_log",
     "spitzer_series",

@@ -6,17 +6,16 @@ line, ``#`` comments).  Recognized keys:
     family    deterministic | bernoulli | binomial | poisson | geometric | explicit
     s         positive integer
     c / p / n / lam / probs   family parameters (probs: space-separated)
-    tail_tol  tail truncation tolerance (default 1e-14, capped there)
     methods   comma-separated subset of dp, spitzer, product, pollaczek
     n_max, m_max   grid bounds (defaults 12, 12)
     tolerance pairwise agreement tolerance, positive and finite (default 1e-9)
-    format    csv | json (default csv)
-    output    destination path (CLI flag overrides)
-    verbose   true | false
 
-The u circle comes from n_max (u_circle); check tolerances are CHECK_TOL.
+The config sets the run; output goes on the command line (--output,
+--format, --verbose).  The u circle comes from n_max (u_circle); check
+tolerances are CHECK_TOL.
 
-Exit status is 0 iff every agreement pair and every structural check passes.
+Exit status is 0 iff every agreement pair and every structural check passes,
+1 if one fails, and 2 on a config, run or output error.
 """
 
 from __future__ import annotations
@@ -50,19 +49,10 @@ class RunConfig:
     family: str
     s: int
     params: dict = field(default_factory=dict)
-    tail_tol: float = dist_mod.DEFAULT_TAIL_TOL
     methods: tuple = DEFAULT_METHODS
     n_max: int = 12
     m_max: int = 12
     tolerance: float = 1e-9
-    format: str = "csv"
-    output: str | None = None
-    verbose: bool = False
-
-    def build_distribution(self) -> dist_mod.IncrementDistribution:
-        return dist_mod.make_family(
-            self.family, self.s, tail_tol=self.tail_tol, **self.params
-        )
 
 
 @dataclass
@@ -104,15 +94,6 @@ class RunResult:
     report: AgreementReport
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.lower()
-    if low in ("true", "yes", "1"):
-        return True
-    if low in ("false", "no", "0"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
 def _typed(kind, noun):
     """Caster by ``kind`` whose error names the expected type."""
 
@@ -142,7 +123,7 @@ def _parse_probs(raw: str) -> list:
 
 
 def _parse_methods(raw: str) -> tuple:
-    """Comma-separated method names; the config key and --methods share it."""
+    """Comma-separated method names."""
     methods = tuple(tok.strip() for tok in raw.split(",") if tok.strip())
     for m in methods:
         if m not in ALL_METHODS:
@@ -150,12 +131,6 @@ def _parse_methods(raw: str) -> tuple:
     if not methods:
         raise ConfigError("need at least one method")
     return methods
-
-
-def _parse_format(raw: str) -> str:
-    if raw not in ("csv", "json"):
-        raise ValueError("format must be csv or json")
-    return raw
 
 
 # key -> (caster, target): "param" values are family parameters, "field"
@@ -168,14 +143,10 @@ _KEYS = {
     "n": (_int, "param"),
     "lam": (_float, "param"),
     "probs": (_parse_probs, "param"),
-    "tail_tol": (_float, "field"),
     "tolerance": (_positive, "field"),
     "n_max": (_int, "field"),
     "m_max": (_int, "field"),
     "methods": (_parse_methods, "field"),
-    "format": (_parse_format, "field"),
-    "output": (str, "field"),
-    "verbose": (_parse_bool, "field"),
 }
 
 
@@ -202,19 +173,18 @@ def parse_config(text: str) -> RunConfig:
         if key not in found["field"]:
             raise ConfigError(f"missing required key {key!r}")
     cfg = RunConfig(params=found["param"], **found["field"])
-
-    if not 0 < cfg.tail_tol <= dist_mod.MAX_TAIL_TOL:
-        raise ConfigError(
-            f"tail_tol {cfg.tail_tol!r} exceeds the cap {dist_mod.MAX_TAIL_TOL}"
-        )
     if cfg.n_max < 0 or cfg.m_max < 0:
         raise ConfigError("n_max and m_max must be >= 0")
     return cfg
 
 
 def load_config(path: str) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 at byte {exc.start}") from None
+    return parse_config(text)
 
 
 def _next_pow2(n: int) -> int:
@@ -294,7 +264,7 @@ def _compute_tables(d, cfg: RunConfig, methods, cert) -> dict:
         tables["dp"] = oracle.lindley_dp(d, cfg.n_max, cfg.m_max)
     if "spitzer" in methods:
         f = series.spitzer_series(d, order_cap=max(cfg.n_max, 1), degree_cap=cfg.m_max)
-        tables["spitzer"] = _table(d, cfg, f.coeffs[: cfg.n_max + 1], "spitzer")
+        tables["spitzer"] = _table(d, cfg, f[: cfg.n_max + 1], "spitzer")
     if "product" in methods:
 
         def product_evaluator(u_nodes, z_nodes):
@@ -385,7 +355,7 @@ def _structural_checks(d, dp_table, cert) -> list:
 
 def run(config: RunConfig) -> RunResult:
     """Execute the configured methods and assemble the agreement report."""
-    d = config.build_distribution()
+    d = dist_mod.make_family(config.family, config.s, **config.params)
     methods = tuple(dict.fromkeys(config.methods))
     comparisons = len(methods) > 1 or any(m != "dp" for m in methods)
     if comparisons and "dp" not in methods:
@@ -511,8 +481,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", required=True, help="path to the run config")
     parser.add_argument("--output", help="destination path for the tables")
-    parser.add_argument("--format", choices=("csv", "json"), help="output format")
-    parser.add_argument("--methods", help="comma-separated method list override")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv",
+                        help="output format")
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
 
@@ -521,18 +491,6 @@ def main(argv=None) -> int:
     except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.format:
-        cfg.format = args.format
-    if args.output:
-        cfg.output = args.output
-    if args.verbose:
-        cfg.verbose = True
-    if args.methods is not None:
-        try:
-            cfg.methods = _parse_methods(args.methods)
-        except ConfigError as exc:
-            print(f"config error: --methods: {exc}", file=sys.stderr)
-            return 2
 
     try:
         result = run(cfg)
@@ -540,13 +498,17 @@ def main(argv=None) -> int:
         print(f"run failed: {exc}", file=sys.stderr)
         return 2
 
-    rendered = render_csv(result) if cfg.format == "csv" else render_json(result)
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(rendered)
+    rendered = render_csv(result) if args.format == "csv" else render_json(result)
+    if args.output:
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            print(f"output error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(rendered)
-    print(render_report_text(result.report, cfg.verbose))
+    print(render_report_text(result.report, args.verbose))
     return 0 if result.report.all_passed else 1
 
 

@@ -3,7 +3,7 @@
 The step of the walk is X = A - s where A is a nonnegative integer random
 variable with pmf ``p_j = P(A = j)`` and s >= 1 bounds the downward jump.
 Infinite-support families (Poisson, geometric) are truncated to a finite
-pmf with tail mass <= the requested tolerance and renormalized, so every
+pmf with tail mass <= TAIL_TOL = 1e-14 and renormalized, so every
 generating function downstream is an honest polynomial.
 """
 
@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_TAIL_TOL = 1e-14
-MAX_TAIL_TOL = 1e-14
+TAIL_TOL = 1e-14
 SUPPORT_CAP = 2_000_000
 
 _FAMILY_ALIASES = {
@@ -61,9 +60,9 @@ class IncrementDistribution:
         p /= total
         p.setflags(write=False)
         object.__setattr__(self, "pmf_a", p)
-        if self.truncation_defect < 0 or self.truncation_defect > MAX_TAIL_TOL:
+        if self.truncation_defect < 0 or self.truncation_defect > TAIL_TOL:
             raise ValueError(
-                f"truncation defect {self.truncation_defect!r} exceeds {MAX_TAIL_TOL}"
+                f"truncation defect {self.truncation_defect!r} exceeds {TAIL_TOL}"
             )
         if self.analyticity_radius_hint <= 1.0:
             raise ValueError(
@@ -92,14 +91,13 @@ def make_family(
     family: str,
     s: int,
     *,
-    tail_tol: float = DEFAULT_TAIL_TOL,
     c: int | None = None,
     p: float | None = None,
     n: int | None = None,
     lam: float | None = None,
     probs=None,
 ) -> IncrementDistribution:
-    """Build a named increment distribution with controlled tail truncation.
+    """Build a named increment distribution; infinite tails are cut at TAIL_TOL.
 
     Families: ``deterministic`` (A = c), ``bernoulli-scaled`` (A in {0, c}),
     ``binomial`` (A ~ Bin(n, p)), ``poisson-truncated`` (A ~ Poi(lam)),
@@ -109,8 +107,6 @@ def make_family(
         canonical = _FAMILY_ALIASES[family]
     except KeyError:
         raise ValueError(f"unknown family {family!r}") from None
-    if not 0 < tail_tol <= MAX_TAIL_TOL:
-        raise ValueError(f"tail tolerance must lie in (0, {MAX_TAIL_TOL}]")
 
     radius = math.inf
     defect = 0.0
@@ -139,7 +135,7 @@ def make_family(
         if lam is None or lam <= 0:
             raise ValueError("poisson family needs lam > 0")
         terms = [math.exp(-lam)]
-        while 1.0 - math.fsum(terms) > tail_tol:
+        while 1.0 - math.fsum(terms) > TAIL_TOL:
             terms.append(terms[-1] * lam / len(terms))
             if len(terms) > 100_000:
                 raise ValueError("poisson truncation did not converge")
@@ -152,7 +148,7 @@ def make_family(
         if radius <= 1.0:
             raise ValueError("geometric family has pgf radius <= 1")
         terms = [p]
-        while 1.0 - math.fsum(terms) > tail_tol:
+        while 1.0 - math.fsum(terms) > TAIL_TOL:
             terms.append(terms[-1] * (1.0 - p))
         defect = max(1.0 - math.fsum(terms), 0.0)
         pmf = np.array(terms)
@@ -161,8 +157,6 @@ def make_family(
             raise ValueError("explicit family needs probs")
         pmf = np.asarray(probs, dtype=float)
 
-    if defect > tail_tol:
-        raise ValueError(f"truncation defect {defect!r} exceeds tolerance {tail_tol!r}")
     total = pmf.sum()
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"family pmf sums to {total!r}, not 1")
@@ -205,13 +199,6 @@ def walk_pmf(dist: IncrementDistribution, l: int) -> np.ndarray:
     for _ in range(l - 1):
         probs = np.convolve(probs, dist.pmf_a)
     return probs
-
-
-def positive_part_pgf(dist: IncrementDistribution, l: int, m_max: int) -> np.ndarray:
-    """Coefficients of the pgf of S_l^+ = max(S_l, 0), truncated to degree m_max."""
-    if m_max < 0:
-        raise ValueError("m_max must be >= 0")
-    return positive_part_coeffs(walk_pmf(dist, l), dist.s * l, m_max)
 
 
 def positive_part_coeffs(probs: np.ndarray, zero_index: int, m_max: int) -> np.ndarray:

@@ -171,11 +171,11 @@ def _companion_rows(dist: IncrementDistribution, us: np.ndarray):
 
 
 def _kernel_terms(dist, u, z):
-    """k(z), k'(z) and the powers z^0 .. z^max(s, J) at 1-D arrays u and z.
+    """k(z) and k'(z) at 1-D arrays u and z.
 
-    One table of powers and two matrix products: Newton evaluates
-    small arrays many times, where np.polyval's loop over the coefficients
-    would cost more than the arithmetic.
+    One table of powers z^0 .. z^max(s, J) and two matrix products: Newton
+    evaluates small arrays many times, where np.polyval's loop over the
+    coefficients would cost more than the arithmetic.
     """
     s, j_max, p = dist.s, dist.j_max, dist.pmf_a
     powers = np.empty((z.size, max(s, j_max) + 1), dtype=complex)
@@ -184,7 +184,7 @@ def _kernel_terms(dist, u, z):
     np.cumprod(powers, axis=1, out=powers)
     k = powers[:, s] - u * (powers[:, : j_max + 1] @ p)
     slope = s * powers[:, s - 1] - u * (powers[:, :j_max] @ (np.arange(1, j_max + 1) * p[1:]))
-    return k, slope, powers
+    return k, slope
 
 
 def _certificate(dist, u, z):
@@ -211,7 +211,7 @@ def _gate(dist, u, z, bar):
     Returns the flags and the residuals |k(z)|.  A row passes if its roots
     are inside the disk, meet RESIDUAL_TOL, and its certificate is <= bar.
     """
-    k, _, _ = _kernel_terms(dist, np.repeat(u, dist.s), z.reshape(-1))
+    k, _ = _kernel_terms(dist, np.repeat(u, dist.s), z.reshape(-1))
     residuals = np.abs(k).reshape(z.shape)
     ok = np.all((np.abs(z) < 1.0 - IN_DISK_TOL) & (residuals <= RESIDUAL_TOL), axis=-1)
     ok[ok] = _certificate(dist, u[ok], z[ok]) <= bar
@@ -233,7 +233,7 @@ def _newton(dist, u, z):
     for _ in range(NEWTON_STEPS):
         if live.size == 0:
             break
-        kz, fp, _ = _kernel_terms(dist, u[live], z[live])
+        kz, fp = _kernel_terms(dist, u[live], z[live])
         exact = kz == 0
         done[live[exact]] = True
         moving = ~exact & (np.abs(kz) < 2.0 * np.abs(fp))

@@ -17,51 +17,20 @@ A z-polynomial is a 1-D coefficient array c_0..c_M; a series is one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dist import positive_part_coeffs
 
 
-@dataclass(frozen=True)
-class USeries:
-    """Truncated series sum_n u^n f_n(z); row n of ``coeffs`` holds f_n."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.array(self.coeffs, dtype=float)
-        if c.ndim != 2 or c.size == 0:
-            raise ValueError("coeffs must be a nonempty 2-D array")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def order_cap(self) -> int:
-        return self.coeffs.shape[0] - 1
-
-    @property
-    def degree_cap(self) -> int:
-        return self.coeffs.shape[1] - 1
-
-    def __getitem__(self, n: int) -> np.ndarray:
-        return self.coeffs[n]
-
-    def partial_sum(self, u, z):
-        """sum_{n<=order_cap} u^n f_n(z); u scalar, z scalar or array."""
-        zpow = np.asarray(z)[..., None] ** np.arange(self.degree_cap + 1)
-        values = zpow @ self.coeffs.T  # f_n(z) for every n
-        upow = u ** np.arange(self.order_cap + 1)
-        out = values @ upow
-        return out if np.ndim(z) else out[()]
-
-    def as_matrix(self) -> np.ndarray:
-        """(order_cap+1, degree_cap+1) coefficient matrix (copy)."""
-        return self.coeffs.copy()
+def _check_series(f) -> np.ndarray:
+    """f as a float array; it must be a nonempty 2-D (N+1, M+1) series."""
+    f = np.asarray(f, dtype=float)
+    if f.ndim != 2 or f.size == 0:
+        raise ValueError("a series must be a nonempty 2-D array")
+    return f
 
 
-def series_exp(g: USeries) -> USeries:
+def series_exp(g) -> np.ndarray:
     """exp of a series with zero constant term.
 
     Differential recurrence: n f_n = sum_{l=1..n} l g_l * f_{n-l}, f_0 = 1,
@@ -77,42 +46,44 @@ def series_exp(g: USeries) -> USeries:
     its transform leaves the retained coefficients equal to those of the
     untruncated series, up to FFT roundoff.
     """
-    n_cap, m = g.order_cap, g.degree_cap
+    g = _check_series(g)
+    n_cap, m = g.shape[0] - 1, g.shape[1] - 1
     if np.any(g[0] != 0.0):
         raise ValueError("series_exp needs a zero constant term")
     size = 1 << (2 * m).bit_length()
-    spec_g = np.fft.rfft(np.arange(n_cap + 1)[:, None] * g.coeffs, size)
+    spec_g = np.fft.rfft(np.arange(n_cap + 1)[:, None] * g, size)
     spec_f = np.empty_like(spec_g)
     spec_f[0] = 1.0
-    fmat = np.zeros_like(g.coeffs)
+    fmat = np.zeros_like(g)
     fmat[0, 0] = 1.0
     for n in range(1, n_cap + 1):
         acc = np.einsum("lk,lk->k", spec_g[1 : n + 1], spec_f[n - 1 :: -1])
         fmat[n] = np.fft.irfft(acc, size)[: m + 1] / n
         spec_f[n] = np.fft.rfft(fmat[n], size)
-    return USeries(fmat)
+    return fmat
 
 
-def series_log(f: USeries) -> USeries:
+def series_log(f) -> np.ndarray:
     """log of a series with unit constant term; inverse of series_exp.
 
     n g_n = n f_n - sum_{l=1..n-1} l g_l * f_{n-l}, one direct truncated
     convolution per (n, l), so it checks ``series_exp`` independently of
     its transforms.
     """
-    m = f.degree_cap
-    if f[0][0] != 1.0 or np.any(f[0][1:] != 0.0):
+    f = _check_series(f)
+    m = f.shape[1] - 1
+    if f[0, 0] != 1.0 or np.any(f[0, 1:] != 0.0):
         raise ValueError("series_log needs constant term 1")
-    gmat = np.zeros_like(f.coeffs)
-    for n in range(1, f.order_cap + 1):
+    gmat = np.zeros_like(f)
+    for n in range(1, f.shape[0]):
         acc = n * f[n]
         for l in range(1, n):
             acc -= l * np.convolve(gmat[l], f[n - l])[: m + 1]
         gmat[n] = acc / n
-    return USeries(gmat)
+    return gmat
 
 
-def spitzer_series(dist, order_cap: int, degree_cap: int) -> USeries:
+def spitzer_series(dist, order_cap: int, degree_cap: int) -> np.ndarray:
     """F(u, z) truncated at (order_cap, degree_cap) via the exponential series.
 
     Coefficient n is the pgf of the reflected walk at time n, truncated to
@@ -128,4 +99,4 @@ def spitzer_series(dist, order_cap: int, degree_cap: int) -> USeries:
         g[l] = positive_part_coeffs(running, dist.s * l, degree_cap) * (1.0 / l)
         if l < order_cap:
             running = np.convolve(running, dist.pmf_a)
-    return series_exp(USeries(g))
+    return series_exp(g)

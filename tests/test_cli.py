@@ -34,7 +34,7 @@ class TestParseConfig:
         cfg = cli.parse_config(SIMPLE_CONFIG)
         assert cfg.methods == ("dp", "spitzer")
         assert cfg.n_max == 8
-        d = cfg.build_distribution()
+        d = rw.make_family(cfg.family, cfg.s, **cfg.params)
         assert d.j_max == 2
 
     @pytest.mark.parametrize(
@@ -46,7 +46,7 @@ class TestParseConfig:
             ("family = explicit\nprobs = 1\ns = 1\nmethods = dp, magic\n", "magic"),
             ("family = explicit\nprobs = 1\ns = one\n", "integer"),
             ("family = explicit\ns = 1\nno equals sign here\nprobs = 1\n", "line 3"),
-            ("family = explicit\nprobs = 1\ns = 1\nformat = xml\n", "format"),
+            ("family = explicit\nprobs = 1\ns = 1\nformat = xml\n", "unknown key 'format'"),
             ("family = explicit\nprobs = 1\ns = 1\ns = 2\n", "duplicate"),
             ("family = explicit\nprobs = 1\ns = 1\ntolerance = -1\n", "'tolerance'"),
             ("family = explicit\nprobs = 1\ns = 1\ntolerance = nan\n", "'tolerance'"),
@@ -56,6 +56,9 @@ class TestParseConfig:
             ("family = explicit\nprobs = 1\ns = 1\nu_radius = 0.5\n", "unknown key 'u_radius'"),
             ("family = explicit\nprobs = 1\ns = 1\ntol_functional = 1\n", "unknown key"),
             ("family = explicit\nprobs = 1\ns = 1\ntol_numerator = 1\n", "unknown key"),
+            ("family = explicit\nprobs = 1\ns = 1\noutput = o.csv\n", "unknown key 'output'"),
+            ("family = explicit\nprobs = 1\ns = 1\nverbose = true\n", "unknown key 'verbose'"),
+            ("family = explicit\nprobs = 1\ns = 1\ntail_tol = 1e-15\n", "unknown key 'tail_tol'"),
         ],
     )
     def test_errors_carry_diagnostics(self, text, match):
@@ -71,10 +74,16 @@ class TestParseConfig:
         fields = {key for key, (_, target) in cli._KEYS.items() if target == "field"}
         assert listed == fields - {"family", "s"}
 
-    def test_loose_tail_tolerance_rejected(self):
-        text = "family = geometric\np = 0.5\ns = 1\ntail_tol = 1e-2\n"
-        with pytest.raises(cli.ConfigError, match="tail_tol"):
-            cli.parse_config(text)
+    def test_readme_synopsis_lists_the_flags(self, capsys):
+        # the flags of the README's CLI synopsis are main's argparse options
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        synopsis = re.search(r"```sh\n(reflectedwalk .*?)```", readme, re.S).group(1)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        offered = set(re.findall(r"--[a-z]+", capsys.readouterr().out)) - {"--help"}
+        assert set(re.findall(r"--[a-z]+", synopsis)) == offered
+        assert offered == {"--config", "--output", "--format", "--verbose"}
 
 
 class TestRun:
@@ -402,16 +411,19 @@ class TestMain:
         assert "[PASS]" in capsys.readouterr().out
 
     def test_json_determinism(self, tmp_path):
-        cfg_path = self._write(tmp_path, SIMPLE_CONFIG + "format = json\n")
+        cfg_path = self._write(tmp_path, SIMPLE_CONFIG)
         out_a = tmp_path / "a.json"
         out_b = tmp_path / "b.json"
-        assert cli.main(["--config", cfg_path, "--output", str(out_a)]) == 0
-        assert cli.main(["--config", cfg_path, "--output", str(out_b)]) == 0
+        for out in (out_a, out_b):
+            assert cli.main(["--config", cfg_path, "--format", "json", "--output", str(out)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+        assert json.loads(out_a.read_text())["report"]["all_passed"] is True
 
     def test_methods_override(self, tmp_path, capsys):
-        cfg_path = self._write(tmp_path, SIMPLE_CONFIG)
-        code = cli.main(["--config", cfg_path, "--methods", "dp", "--format", "csv"])
+        cfg_path = self._write(
+            tmp_path, SIMPLE_CONFIG.replace("methods = dp, spitzer", "methods = dp")
+        )
+        code = cli.main(["--config", cfg_path, "--format", "csv"])
         assert code == 0
         out = capsys.readouterr().out
         assert "no comparisons requested" in out
@@ -424,13 +436,20 @@ class TestMain:
     def test_missing_file_exit_two(self, tmp_path):
         assert cli.main(["--config", str(tmp_path / "none.cfg")]) == 2
 
-    @pytest.mark.parametrize("flag,match", [(",", "at least one"), ("dp,magic", "magic")])
-    def test_bad_methods_flag_exit_two(self, tmp_path, capsys, flag, match):
-        # the flag goes through the same parser as the config key
-        cfg_path = self._write(tmp_path, SIMPLE_CONFIG)
-        assert cli.main(["--config", cfg_path, "--methods", flag]) == 2
+    def test_config_not_utf8_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"family = binomial\xff\n")
+        assert cli.main(["--config", str(path)]) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and match in err
+        assert err.startswith("config error") and "UTF-8" in err
+        assert len(err.splitlines()) == 1
+
+    def test_unwritable_output_exit_two(self, tmp_path, capsys):
+        # a directory as --output cannot be opened for writing
+        cfg_path = self._write(tmp_path, SIMPLE_CONFIG)
+        assert cli.main(["--config", cfg_path, "--output", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error") and len(err.splitlines()) == 1
 
     def test_empty_methods_key_exit_two(self, tmp_path, capsys):
         cfg_path = self._write(

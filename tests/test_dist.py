@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import reflectedwalk as rw
+from reflectedwalk.dist import positive_part_coeffs
 
 
 def geometric_truncation_order(p, tol):
@@ -26,7 +27,7 @@ class TestMakeFamily:
         assert simple.s == 1
 
     def test_geometric_truncation_order(self):
-        d = rw.make_family("geometric", 1, p=0.5, tail_tol=1e-14)
+        d = rw.make_family("geometric", 1, p=0.5)
         assert d.j_max == geometric_truncation_order(0.5, 1e-14) == 46
         assert d.truncation_defect <= 1e-14
         assert math.isclose(d.pmf_a.sum(), 1.0, abs_tol=1e-14)
@@ -51,10 +52,6 @@ class TestMakeFamily:
     def test_invalid_parameters_rejected(self, family, kwargs):
         with pytest.raises(ValueError):
             rw.make_family(family, 1, **kwargs)
-
-    def test_tail_tolerance_cap(self):
-        with pytest.raises(ValueError):
-            rw.make_family("geometric", 1, p=0.5, tail_tol=1e-2)
 
     def test_zero_p0_warns(self):
         with pytest.warns(UserWarning, match="origin"):
@@ -128,24 +125,29 @@ class TestWalkPmf:
             dist_mod.walk_pmf(d, 50)
 
 
+def _positive_part(d, l, m):
+    """pgf coefficients of S_l^+, truncated to degree m."""
+    return positive_part_coeffs(rw.walk_pmf(d, l), d.s * l, m)
+
+
 class TestPositivePartPgf:
     def test_one_step_simple(self, simple):
-        poly = rw.positive_part_pgf(simple, 1, 3)
+        poly = _positive_part(simple, 1, 3)
         assert isinstance(poly, np.ndarray)
         np.testing.assert_allclose(poly, [0.5, 0.5, 0.0, 0.0])
 
     def test_two_steps_simple(self, simple):
-        poly = rw.positive_part_pgf(simple, 2, 2)
+        poly = _positive_part(simple, 2, 2)
         np.testing.assert_allclose(poly, [0.75, 0.0, 0.25])
 
     def test_degenerate_is_one(self):
         d = rw.make_family("deterministic", 2, c=2)
-        poly = rw.positive_part_pgf(d, 5, 4)
+        poly = _positive_part(d, 5, 4)
         np.testing.assert_allclose(poly, [1.0, 0.0, 0.0, 0.0, 0.0])
 
     def test_full_support_sums_to_one(self, dists):
         for d in dists.values():
             for l in (1, 2, 5):
                 m_full = max(l * max(d.j_max - d.s, 0), 0)
-                poly = rw.positive_part_pgf(d, l, m_full)
+                poly = _positive_part(d, l, m_full)
                 assert poly.sum() == pytest.approx(1.0, abs=1e-12)

@@ -54,7 +54,7 @@ class TestLindleyDp:
             m_full = max(n_cap * d.support_growth, 1)
             t = rw.lindley_dp(d, n_cap, m_full)
             f = rw.spitzer_series(d, n_cap, m_full)
-            assert np.max(np.abs(t.probs - f.as_matrix())) <= 1e-11
+            assert np.max(np.abs(t.probs - f)) <= 1e-11
 
 
 class TestFunctionalEquation:

@@ -322,26 +322,23 @@ def _structural_checks(d, dp_table, cert) -> list:
     res = oracle.functional_equation_check(d, dp_table, rows, FUNCTIONAL_Z_GRID)
     checks.append(_checked("functional-equation", float(np.max(res, initial=0.0))))
     # numerator polynomial annihilated by the kernel roots, at both u from one
-    # find_kernel_roots call; the u = 0.5 roots also serve the log-residue
-    # check below
-    us = (0.25, 0.5)
-    roots = kernel.find_kernel_roots(d, np.array(us))
-    res = max(oracle.numerator_check(d, u, roots.row(k), CHECK_TOL["numerator"])
-              for k, u in enumerate(us))
-    checks.append(_checked("numerator", res))
-    # Cauchy coefficient identity on a small (l, k) grid; a run without the
-    # contour method skips it when no outer radius is admissible
+    # find_kernel_roots call and one numerator_check call; the u = 0.5 roots
+    # also serve the log-residue check below
+    us = np.array([0.25, 0.5])
+    roots = kernel.find_kernel_roots(d, us)
+    checks.append(_checked("numerator", oracle.numerator_check(
+        d, us, roots, CHECK_TOL["numerator"])))
+    # Cauchy coefficient identity on a small (l, k) grid, from one transform;
+    # a run without the contour method skips it when no outer radius is
+    # admissible
     name = "coefficient-identity"
     if isinstance(cert, contour.RadiusSearchError):
         checks.append(CheckResult(name, math.nan, CHECK_TOL[name], False, str(cert)))
     else:
-        quad = contour.CircleQuadrature()
-        k = np.array([1, 3])
-        res = 0.0
-        for l in (1, 2, 4):
-            integral, pmf = contour.verify_coeff_identity(d, l, k, cert, quad)
-            res = max(res, float(np.max(np.abs(integral - pmf))))
-        checks.append(_checked(name, res))
+        integral, pmf = contour.verify_coeff_identity(
+            d, np.array([1, 2, 4]), np.array([1, 3]), cert, contour.CircleQuadrature()
+        )
+        checks.append(_checked(name, float(np.max(np.abs(integral - pmf)))))
     # logarithmic residue of the kernel at u = 0.5, on radii between the
     # largest root (below 1 - 1e-12) and 1
     half = roots.row(1)

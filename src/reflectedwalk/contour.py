@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._complex import cexp, circle, clog
-from .dist import IncrementDistribution, pgf_eval, walk_pmf
+from .dist import IncrementDistribution, pgf_eval, walk_pmfs
 
 OUTER_RADIUS_CAP = 8.0
 OUTER_RADIUS_GRID = 400    # radii scanned by choose_outer_radius
@@ -115,10 +115,10 @@ def _circle_fft(f, r: float, quad: CircleQuadrature, gap, rows: int = 1) -> list
     a (len(live), nodes) array.  Entry n of a spectrum is the trapezoid
     value of (1/2 pi i) oint f(w) (r/w)^n dw/w, that is r^n times the n-th
     Laurent coefficient of f plus its aliases at n +- nodes.  The node
-    count doubles from quad.nodes; gap(cur, prev) compares two successive
-    spectra of the live rows and returns one gap per row.  Each row keeps
-    its spectrum from the first doubling at which its own gap < quad.tol
-    and is not sampled again.  circle(r, 2N)[::2] is circle(r, N) to the
+    count doubles from quad.nodes; gap(cur, prev, live) compares two
+    successive spectra of the live rows and returns one gap per row.  Each
+    row keeps its spectrum from the first doubling at which its own gap <
+    quad.tol and is not sampled again.  circle(r, 2N)[::2] is circle(r, N) to the
     bit, so a doubling samples only the N new odd nodes and interleaves
     them with the samples it holds: a row that stops at N nodes has been
     sampled at N nodes.  Returns the spectra, one 1-D array per row.
@@ -135,7 +135,7 @@ def _circle_fft(f, r: float, quad: CircleQuadrature, gap, rows: int = 1) -> list
         both[:, ::2], both[:, 1::2] = samples, odd
         samples = both
         cur = np.fft.fft(samples) / nodes
-        last = gap(cur, prev)
+        last = gap(cur, prev, live)
         done = last < quad.tol
         for k, spectrum in zip(live[done].tolist(), cur[done]):
             spectra[k] = spectrum
@@ -146,6 +146,28 @@ def _circle_fft(f, r: float, quad: CircleQuadrature, gap, rows: int = 1) -> list
         f"no convergence after {quad.max_doublings} doublings "
         f"(last gap {float(last[0])!r} at {nodes} nodes, tol {quad.tol!r})"
     )
+
+
+def _cauchy_rows(f, n: np.ndarray, r: float, quad: CircleQuadrature) -> np.ndarray:
+    """Coefficient n[i, j] of row i of f on |w| = r, every row from one transform.
+
+    f(w, live) samples the rows `live` as _circle_fft's f does; n is a 2-D
+    int array, one row of indices per row of f.  Row i doubles its node
+    count until none of its n[i] moves by quad.tol, so it reads the same
+    bits as a transform of row i alone.  Returns a complex array shaped
+    like n.
+    """
+    scale = float(r) ** -n
+
+    def read(spectra, rows):
+        at = n[rows] % spectra.shape[-1]
+        return np.take_along_axis(spectra, at, axis=-1) * scale[rows]
+
+    def gap(cur, prev, live):
+        return np.max(np.abs(read(cur, live) - read(prev, live)), axis=-1)
+
+    spectra = _circle_fft(f, r, quad, gap, rows=len(n))
+    return np.concatenate([read(x[None], [i]) for i, x in enumerate(spectra)])
 
 
 def cauchy_coeff(f, n, r: float, quad: CircleQuadrature):
@@ -161,18 +183,8 @@ def cauchy_coeff(f, n, r: float, quad: CircleQuadrature):
         raise ValueError("n must be >= 0")
     if r <= 0:
         raise ValueError("r must be positive")
-    scale = float(r) ** -n_arr
-
-    def read(spectrum):
-        return spectrum[..., n_arr % spectrum.shape[-1]] * scale
-
-    def gap(cur, prev):
-        diff = np.abs(read(cur) - read(prev))
-        return np.max(diff.reshape(len(diff), -1), axis=-1)
-
-    spectrum = _circle_fft(lambda w, live: f(w)[None], r, quad, gap)[0]
-    coeffs = read(spectrum)
-    return complex(coeffs) if n_arr.ndim == 0 else coeffs
+    coeffs = _cauchy_rows(lambda w, live: f(w)[None], n_arr.reshape(1, -1), r, quad)
+    return complex(coeffs[0, 0]) if n_arr.ndim == 0 else coeffs.reshape(n_arr.shape)
 
 
 def _plus_part(dist, u: np.ndarray, cert, quad, rho: float) -> np.ndarray:
@@ -201,7 +213,7 @@ def _plus_part(dist, u: np.ndarray, cert, quad, rho: float) -> np.ndarray:
         a[..., 0] = 0.0
         return a
 
-    def gap(cur, prev):
+    def gap(cur, prev, live):
         diff = plus(cur)
         diff[:, : prev.shape[-1] // 2] -= plus(prev)
         k = np.arange(diff.shape[-1])
@@ -280,25 +292,36 @@ def pollaczek_unit_grid(
 
 def verify_coeff_identity(
     dist: IncrementDistribution,
-    l: int,
+    l,
     k,
     cert: RadiusCertificate,
     quad: CircleQuadrature,
 ):
     """Cauchy extraction of [w^{k+sl}] A(w)^l against the exact pmf of S_l.
 
-    k is an int or an int array; every k + s l is read from one transform of
-    A(w)^l on |w| = b.  Returns (integral, pmf) for the caller to compare:
-    two floats for a scalar k, two arrays for an array k.
+    l and k are ints or 1-D int arrays.  The whole (l, k) grid is read from
+    one batched transform on |w| = b, one row A(w)^l per l, each row
+    doubling until its own k + s l stop moving, so every row reads the same
+    bits as a transform of its l alone.  The pmfs of S_1 .. S_max(l) come
+    from one pass of walk_pmfs.  Returns (integral, pmf) for the caller to
+    compare, each shaped l.shape + k.shape: two floats for scalar l and k.
     """
-    k_arr = np.asarray(k)
-    if l < 1 or np.any(k_arr < 1):
+    l_arr, k_arr = np.asarray(l), np.asarray(k)
+    ls = l_arr.reshape(-1)
+    if np.any(ls < 1) or np.any(k_arr < 1):
         raise ValueError("l and k must be >= 1")
-    idx = k_arr + dist.s * l
-    integral = cauchy_coeff(lambda w: pgf_eval(dist, w) ** l, idx, cert.b, quad).real
+    idx = k_arr.reshape(1, -1) + dist.s * ls[:, None]
+    integral = _cauchy_rows(
+        lambda w, live: pgf_eval(dist, w) ** ls[live, None], idx, cert.b, quad
+    ).real
     # P(S_l = k) = 0 above the support: clamp those k to an appended zero
-    probs = walk_pmf(dist, l)
-    pmf = np.append(probs, 0.0)[np.minimum(idx, len(probs))]
-    if k_arr.ndim == 0:
-        return float(integral), float(pmf)
-    return integral, pmf
+    laws = {}
+    for j, probs in enumerate(walk_pmfs(dist, int(ls.max())), start=1):
+        if j in ls:
+            laws[j] = np.append(probs, 0.0)
+    pmf = np.array([laws[j][np.minimum(at, len(laws[j]) - 1)]
+                    for j, at in zip(ls.tolist(), idx)])
+    shape = l_arr.shape + k_arr.shape
+    if not shape:
+        return float(integral[0, 0]), float(pmf[0, 0])
+    return integral.reshape(shape), pmf.reshape(shape)

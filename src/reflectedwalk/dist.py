@@ -182,22 +182,35 @@ def pgf_deriv_eval(dist: IncrementDistribution, w):
     return np.polyval(coeffs[::-1], w)
 
 
-def walk_pmf(dist: IncrementDistribution, l: int) -> np.ndarray:
-    """Law of S_l = X_1 + ... + X_l: entry i is P(S_l = i - s l).
+def walk_pmfs(dist: IncrementDistribution, l_max: int):
+    """Laws of S_1, ..., S_{l_max} in turn, each as walk_pmf(dist, l) gives it.
 
-    The l-th convolution power of the A-pmf, by iterated schoolbook
-    convolution.
+    The convolution powers of the A-pmf, by iterated schoolbook
+    convolution: one pass yields every power up to l_max and holds only
+    the last.  l_max < 1, or a support of S_{l_max} longer than
+    SUPPORT_CAP, raises ValueError before the first power.
     """
-    if l < 1:
+    if l_max < 1:
         raise ValueError("l must be >= 1")
-    if l * dist.j_max + 1 > SUPPORT_CAP:
+    if l_max * dist.j_max + 1 > SUPPORT_CAP:
         raise ValueError(
-            f"support length {l * dist.j_max + 1} exceeds cap {SUPPORT_CAP}; "
+            f"support length {l_max * dist.j_max + 1} exceeds cap {SUPPORT_CAP}; "
             "reduce l or the tail truncation order"
         )
     probs = dist.pmf_a
-    for _ in range(l - 1):
+    yield probs
+    for _ in range(l_max - 1):
         probs = np.convolve(probs, dist.pmf_a)
+        yield probs
+
+
+def walk_pmf(dist: IncrementDistribution, l: int) -> np.ndarray:
+    """Law of S_l = X_1 + ... + X_l: entry i is P(S_l = i - s l).
+
+    The l-th convolution power of the A-pmf, the last of walk_pmfs.
+    """
+    for probs in walk_pmfs(dist, l):
+        pass
     return probs
 
 

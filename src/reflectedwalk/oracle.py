@@ -78,19 +78,19 @@ def lindley_dp(
     )
 
 
-def row_pgf(table: DistributionTable, n: int, z) -> complex:
-    """E(z^{M_n}) from table row n."""
-    return np.polyval(table.probs[n][::-1], z)
-
-
 def boundary_probs(dist: IncrementDistribution, table: DistributionTable):
-    """Array b[r, n] = P(M_n + A_{n+1} = r) for r = 0..s-1."""
+    """Array b[r, n] = P(M_n + A_{n+1} = r) for r = 0..s-1.
+
+    Level j < s of row n meets the atoms r - j < s of A, so every row is
+    summed at once in one array step per level j, in the order of a
+    convolution of the row's levels < s with those atoms.
+    """
     s = dist.s
+    atoms = dist.pmf_a[:s]
     out = np.zeros((s, table.n_max + 1))
-    for n in range(table.n_max + 1):
-        conv = np.convolve(table.probs[n][:s], dist.pmf_a[:s])
-        take = min(s, len(conv))
-        out[:take, n] = conv[:take]
+    for j, level in enumerate(table.probs[:, :s].T):
+        take = min(len(atoms), s - j)
+        out[j : j + take] += atoms[:take, None] * level
     return out
 
 
@@ -149,30 +149,38 @@ def boundary_width(dist: IncrementDistribution, n_max: int) -> int:
 
 def numerator_check(
     dist: IncrementDistribution,
-    u: float,
+    u,
     roots: RootSet,
     tol: float = 1e-9,
 ) -> float:
     """Residual of the numerator-polynomial structure at the kernel roots.
 
-    Builds N(u, z) = z^s + u sum_{r<s} (z^s - z^r) F_r(u) from truncated
-    boundary series and returns the max of |N(u, z_k)| over the roots and
-    |N(u, 1) - 1|.  The truncation order is set from the geometric tail
-    bound so the truncation error is <= tol / 10.
+    u is a scalar with roots from find_kernel_roots(dist, u), or a 1-D
+    array whose row k of roots is for u[k].  Builds N(u, z) = z^s +
+    u sum_{r<s} (z^s - z^r) F_r(u) from truncated boundary series and
+    returns the max over every u of |N(u, z_k)| at its roots and of
+    |N(u, 1) - 1|.  Each u truncates F_r at its own order, set from the
+    geometric tail bound so the truncation error is <= tol / 10.  One DP
+    table at the largest order serves every u, and N is evaluated at
+    every (u, point) pair at once, so the residual is the largest of the
+    calls for one u at a time, to the bit.
     """
-    n_req = required_boundary_order(u, tol / 10.0)
-    table = lindley_dp(dist, n_req, boundary_width(dist, n_req))
+    us = np.atleast_1d(np.asarray(u, dtype=float))
+    orders = [required_boundary_order(x, tol / 10.0) for x in us.tolist()]
+    n_top = max(orders)
+    table = lindley_dp(dist, n_top, boundary_width(dist, n_top))
     bnd = boundary_probs(dist, table)
-    upow = u ** np.arange(table.n_max + 1)
-    f_r = bnd @ upow  # F_r(u) truncated at n_max
+    # F_r(u), one row per u: a matrix-vector product on the leading columns
+    # of the one table sums in the same order as a table built for u alone
+    f_r = np.array([bnd[:, : n + 1] @ x ** np.arange(n + 1)
+                    for x, n in zip(us.tolist(), orders)])
     s = dist.s
-
-    def numerator(z):
-        val = z**s
-        for r in range(s):
-            val = val + u * (z**s - z**r) * f_r[r]
-        return val
-
-    residual = max(abs(numerator(zk)) for zk in roots.roots)
-    residual = max(residual, abs(numerator(1.0) - 1.0))
-    return float(residual)
+    z = np.concatenate(
+        [np.reshape(roots.roots, (len(us), -1)), np.ones((len(us), 1))], axis=1
+    )
+    z_s = z**s
+    val = z_s
+    for r in range(s):
+        val = val + us[:, None] * (z_s - z**r) * f_r[:, r, None]
+    val[:, -1] -= 1.0  # N(u, 1) = 1
+    return float(np.max(np.abs(val)))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dist import positive_part_coeffs
+from .dist import positive_part_coeffs, walk_pmfs
 
 
 def _check_series(f) -> np.ndarray:
@@ -94,9 +94,7 @@ def spitzer_series(dist, order_cap: int, degree_cap: int) -> np.ndarray:
     if degree_cap < 0:
         raise ValueError("degree_cap must be >= 0")
     g = np.zeros((order_cap + 1, degree_cap + 1))
-    running = dist.pmf_a  # law of A_1 + ... + A_l, i.e. of S_l + s l
-    for l in range(1, order_cap + 1):
+    # walk_pmfs gives the law of S_l as that of A_1 + ... + A_l, shifted by s l
+    for l, running in enumerate(walk_pmfs(dist, order_cap), start=1):
         g[l] = positive_part_coeffs(running, dist.s * l, degree_cap) * (1.0 / l)
-        if l < order_cap:
-            running = np.convolve(running, dist.pmf_a)
     return series_exp(g)

@@ -140,16 +140,26 @@ class TestRun:
         assert result.report.all_passed
         assert calls == [[0.25]]
 
-    def test_one_coefficient_extraction_per_l(self, monkeypatch):
-        # every k of one l comes from one transform of A(w)^l
-        calls = []
+    def test_one_call_per_batched_check(self, monkeypatch):
+        # the coefficient identity reads l = 1, 2, 4 from one call, and one
+        # DP table at u = 0.5's order serves the numerator check at both u:
+        # the run's lindley_dp calls are the dp table's and that one
+        coeff_calls, dp_rows = [], []
         verify = rw.contour.verify_coeff_identity
         monkeypatch.setattr(
-            rw.contour, "verify_coeff_identity", lambda *a: calls.append(a[1]) or verify(*a)
+            rw.contour, "verify_coeff_identity",
+            lambda *a: coeff_calls.append(np.asarray(a[1]).tolist()) or verify(*a),
         )
-        result = cli.run(cli.parse_config(SIMPLE_CONFIG))
+        dp = rw.oracle.lindley_dp
+        monkeypatch.setattr(
+            rw.oracle, "lindley_dp", lambda *a: dp_rows.append(a[1]) or dp(*a)
+        )
+        cfg = cli.parse_config(SIMPLE_CONFIG)
+        result = cli.run(cfg)
         assert result.report.all_passed
-        assert calls == [1, 2, 4]
+        assert coeff_calls == [[1, 2, 4]]
+        order = rw.oracle.required_boundary_order(0.5, cli.CHECK_TOL["numerator"] / 10)
+        assert dp_rows == [cfg.n_max, order]
 
     def test_inverted_table_matches_dp(self):
         cfg = cli.parse_config(SIMPLE_CONFIG.replace(

@@ -10,6 +10,7 @@ from reflectedwalk._complex import circle
 from reflectedwalk.contour import (
     QuadratureError,
     RadiusSearchError,
+    _cauchy_rows,
     _circle_fft,
     _plus_part,
     pollaczek_unit_grid,
@@ -89,7 +90,7 @@ class TestCircleFFT:
             sampled[live] += w.size
             return self._rows(w)[live]
 
-        def gap(cur, prev):
+        def gap(cur, prev, live):
             return np.max(np.abs(cur[:, :16] - prev[:, :16]), axis=-1)
 
         spectra = _circle_fft(f, 1.0, rw.CircleQuadrature(), gap, rows=2)
@@ -123,6 +124,20 @@ class TestCauchyCoeff:
         for m in n.tolist():
             got = rw.cauchy_coeff(f, m, 1.0, quad)
             assert abs(got - coeffs[m]) <= 1e-13 * max(1.0, abs(coeffs[m]))
+
+    def test_rows_read_as_alone(self, quad):
+        # a polynomial row converges at 512 nodes, 1 / (1 - 0.95 w) doubles
+        # on: each row of one batched extraction reads the bits of its own
+        coeffs = np.random.default_rng(5).uniform(-1, 1, 40)
+        rows = [lambda w: np.polyval(coeffs[::-1], w), lambda w: 1.0 / (1.0 - 0.95 * w)]
+        n = np.array([[1, 7, 39], [0, 2, 30]])
+        got = _cauchy_rows(
+            lambda w, live: np.stack([rows[k](w) for k in live.tolist()]), n, 1.0, quad
+        )
+        for k, f in enumerate(rows):
+            np.testing.assert_array_equal(got[k], rw.cauchy_coeff(f, n[k], 1.0, quad))
+        np.testing.assert_allclose(got[0].real, coeffs[n[0]], atol=1e-13)
+        np.testing.assert_allclose(got[1].real, 0.95 ** n[1], atol=1e-12)
 
     def test_transform_inversion_recovers_probability(self, simple):
         # [u^2] F(u, 0) = P(M_2 = 0) = 1/2
@@ -333,3 +348,30 @@ class TestVerifyCoeffIdentity:
                 integrals, pmfs = rw.verify_coeff_identity(d, l, ks, cert, quad)
                 np.testing.assert_array_equal(pmfs, [pmf for _, pmf in scalar])
                 np.testing.assert_array_equal(integrals, [i for i, _ in scalar])
+
+    @pytest.mark.parametrize("law", sorted(STANDARD))
+    def test_l_grid_agreement(self, law, quad):
+        # one transform for every (l, k) reads the same bits as one per l,
+        # the run's grid l = 1, 2, 4 included
+        d = STANDARD[law]
+        cert = rw.choose_outer_radius(d, 0.75)
+        ks = np.array([1, 3, 9])
+        for ls in (np.array([1, 2, 4]), np.array([7, 3, 1, 3])):
+            integrals, pmfs = rw.verify_coeff_identity(d, ls, ks, cert, quad)
+            assert integrals.shape == pmfs.shape == (len(ls), len(ks))
+            for row, l in enumerate(ls.tolist()):
+                integral, pmf = rw.verify_coeff_identity(d, l, ks, cert, quad)
+                np.testing.assert_array_equal(integrals[row], integral)
+                np.testing.assert_array_equal(pmfs[row], pmf)
+
+    def test_l_array_with_scalar_k(self, simple, quad):
+        cert = rw.choose_outer_radius(simple, 0.75)
+        integrals, pmfs = rw.verify_coeff_identity(simple, np.array([1, 2]), 1, cert, quad)
+        assert integrals.shape == pmfs.shape == (2,)
+        np.testing.assert_allclose(pmfs, [0.5, 0.0])
+        np.testing.assert_allclose(integrals, pmfs, atol=1e-12)
+
+    def test_every_l_checked(self, simple, quad):
+        cert = rw.choose_outer_radius(simple, 0.75)
+        with pytest.raises(ValueError, match=">= 1"):
+            rw.verify_coeff_identity(simple, np.array([2, 0]), 1, cert, quad)

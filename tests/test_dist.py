@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import reflectedwalk as rw
-from reflectedwalk.dist import positive_part_coeffs
+from reflectedwalk.dist import positive_part_coeffs, walk_pmfs
 
 
 def geometric_truncation_order(p, tol):
@@ -123,6 +123,26 @@ class TestWalkPmf:
         d = rw.make_family("explicit", 1, probs=[0.5, 0.0, 0.5])
         with pytest.raises(ValueError, match="cap"):
             dist_mod.walk_pmf(d, 50)
+
+
+class TestWalkPmfs:
+    def test_each_power_as_walk_pmf(self, dists):
+        for d in dists.values():
+            laws = list(walk_pmfs(d, 6))
+            assert len(laws) == 6
+            for l, law in enumerate(laws, start=1):
+                np.testing.assert_array_equal(law, rw.walk_pmf(d, l))
+
+    def test_cap_raises_before_the_first_power(self, simple, monkeypatch):
+        monkeypatch.setattr(rw.dist, "SUPPORT_CAP", 10)
+        with pytest.raises(ValueError, match="support length 101 exceeds cap 10"):
+            next(walk_pmfs(simple, 50))
+        # below the cap every power up to l_max comes out
+        assert len(list(walk_pmfs(simple, 4))) == 4
+
+    def test_l_max_below_one_rejected(self, simple):
+        with pytest.raises(ValueError, match=">= 1"):
+            next(walk_pmfs(simple, 0))
 
 
 def _positive_part(d, l, m):

@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 
 import reflectedwalk as rw
+from reflectedwalk.kernel import RootSet
 from reflectedwalk.oracle import (
     boundary_probs,
     boundary_width,
     required_boundary_order,
-    row_pgf,
 )
+
+from conftest import standard_distributions
+
+STANDARD = standard_distributions()
 
 
 class TestLindleyDp:
@@ -123,6 +127,29 @@ class TestNumeratorCheck:
         roots = rw.find_kernel_roots(simple, 0.5)
         assert rw.numerator_check(simple, 0.5, roots, tol=1e-9) <= 1e-9
 
+    @pytest.mark.parametrize("law", sorted(STANDARD))
+    def test_u_array_is_the_largest_per_u_residual(self, law):
+        # one DP table at u = 0.5's order serves both u, each truncated at
+        # its own order: the residual is the per-u calls' largest, to the bit
+        d = STANDARD[law]
+        us = np.array([0.25, 0.5])
+        roots = rw.find_kernel_roots(d, us)
+        per_u = [rw.numerator_check(d, u, roots.row(k)) for k, u in enumerate(us.tolist())]
+        assert rw.numerator_check(d, us, roots) == max(per_u)
+
+    @pytest.mark.parametrize("law", ["simple-walk", "binomial", "geometric"])
+    def test_moved_first_row_root_fails(self, law):
+        # a u = 0.25 root moved by 1e-6 breaks N(u, z_k) = 0 far past the
+        # tolerance: the first row is checked, not only the last
+        d = STANDARD[law]
+        us = np.array([0.25, 0.5])
+        roots = rw.find_kernel_roots(d, us)
+        moved = roots.roots.copy()
+        moved[0, 0] += 1e-6
+        bad = RootSet(moved, roots.residuals)
+        assert rw.numerator_check(d, us, roots) <= 1e-9
+        assert rw.numerator_check(d, us, bad) > 1e-9
+
     def test_required_order_tail_bound(self):
         for u in (0.25, 0.5, 0.9):
             n = required_boundary_order(u, 1e-10)
@@ -168,6 +195,20 @@ class TestBoundaryWidth:
             boundary_probs(d, narrow), boundary_probs(d, full), rtol=0, atol=1e-16
         )
 
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    @pytest.mark.parametrize("m_max", [0, 3, 40])
+    def test_matches_row_convolutions(self, law, m_max):
+        # levels < s of each row against the atoms < s, row by row; a table
+        # narrower than s holds fewer levels, and A may have fewer than s atoms
+        family, s, params = self.LAWS[law]
+        d = rw.make_family(family, s, **params)
+        t = rw.lindley_dp(d, 5, m_max)
+        expect = np.zeros((d.s, 6))
+        for n in range(6):
+            conv = np.convolve(t.probs[n][: d.s], d.pmf_a[: d.s])[: d.s]
+            expect[: len(conv), n] = conv
+        np.testing.assert_allclose(boundary_probs(d, t), expect, rtol=0, atol=1e-16)
+
     def test_width(self):
         geometric = rw.make_family("geometric", 1, p=0.5)
         # u = 0.5: 35 rows, 36 columns instead of the support's 1531
@@ -182,7 +223,8 @@ class TestBoundaryWidth:
 
 class TestRowPgf:
     def test_matches_polyval(self, simple):
+        # E z^{M_3} of the simple walk from 0: 3/8 + 3/8 z + z^2/8 + z^3/8
         t = rw.lindley_dp(simple, 4, 4)
         z = 0.3 + 0.1j
-        expect = sum(t.probs[3][m] * z**m for m in range(5))
-        assert row_pgf(t, 3, z) == pytest.approx(expect)
+        expect = 0.375 + 0.375 * z + 0.125 * z**2 + 0.125 * z**3
+        assert np.polyval(t.probs[3][::-1], z) == pytest.approx(expect)

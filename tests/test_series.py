@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reflectedwalk as rw
+from reflectedwalk.dist import positive_part_coeffs
 
 
 def _exp_schoolbook(g):
@@ -186,3 +187,26 @@ class TestSpitzerSeries:
         assert rows.sum() > 1
         assert np.max(np.abs(f[rows] - dp.probs[rows])) <= 1e-14
         assert f.min() >= -1e-12
+
+    def test_support_cap_as_walk_pmf(self, simple, monkeypatch):
+        # the laws of S_1 .. S_N come from dist.walk_pmfs, under its cap
+        import reflectedwalk.dist as dist_mod
+
+        monkeypatch.setattr(dist_mod, "SUPPORT_CAP", 10)
+        with pytest.raises(ValueError) as from_walk:
+            dist_mod.walk_pmf(simple, 50)
+        with pytest.raises(ValueError) as from_series:
+            rw.spitzer_series(simple, 50, 2)
+        assert str(from_series.value) == str(from_walk.value)
+        assert "exceeds cap 10" in str(from_walk.value)
+
+    def test_exponent_rows_are_the_running_convolutions(self, dists):
+        # row l of the exponent is (1/l) E z^{S_l^+} from the l-fold
+        # convolution of the A-pmf, one np.convolve per step, to the bit
+        for d in dists.values():
+            g = np.zeros((9, 7))
+            running = d.pmf_a
+            for l in range(1, 9):
+                g[l] = positive_part_coeffs(running, d.s * l, 6) * (1.0 / l)
+                running = np.convolve(running, d.pmf_a)
+            np.testing.assert_array_equal(rw.spitzer_series(d, 8, 6), rw.series_exp(g))

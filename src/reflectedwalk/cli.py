@@ -67,13 +67,10 @@ class PairResult:
 
 @dataclass
 class CheckResult:
-    """One structural check; a skipped check carries its reason and never passes."""
-
     name: str
     residual: float
     tolerance: float
     passed: bool
-    skipped: str | None = None
 
 
 @dataclass
@@ -84,8 +81,7 @@ class AgreementReport:
 
     @property
     def all_passed(self) -> bool:
-        ran = [c for c in self.checks if c.skipped is None]
-        return all(p.passed for p in self.pairs) and all(c.passed for c in ran)
+        return all(p.passed for p in self.pairs) and all(c.passed for c in self.checks)
 
 
 @dataclass
@@ -274,8 +270,6 @@ def _compute_tables(d, cfg: RunConfig, methods, cert) -> dict:
         probs = _invert_transform(product_evaluator, d, cfg)
         tables["product"] = _table(d, cfg, probs, "product-inversion")
     if "pollaczek" in methods:
-        if isinstance(cert, contour.RadiusSearchError):
-            raise cert
         quad = contour.CircleQuadrature()
 
         def pollaczek_evaluator(u_nodes, z_nodes):
@@ -328,17 +322,11 @@ def _structural_checks(d, dp_table, cert) -> list:
     roots = kernel.find_kernel_roots(d, us)
     checks.append(_checked("numerator", oracle.numerator_check(
         d, us, roots, CHECK_TOL["numerator"])))
-    # Cauchy coefficient identity on a small (l, k) grid, from one transform;
-    # a run without the contour method skips it when no outer radius is
-    # admissible
-    name = "coefficient-identity"
-    if isinstance(cert, contour.RadiusSearchError):
-        checks.append(CheckResult(name, math.nan, CHECK_TOL[name], False, str(cert)))
-    else:
-        integral, pmf = contour.verify_coeff_identity(
-            d, np.array([1, 2, 4]), np.array([1, 3]), cert, contour.CircleQuadrature()
-        )
-        checks.append(_checked(name, float(np.max(np.abs(integral - pmf)))))
+    # Cauchy coefficient identity on a small (l, k) grid, from one transform
+    integral, pmf = contour.verify_coeff_identity(
+        d, np.array([1, 2, 4]), np.array([1, 3]), cert, contour.CircleQuadrature()
+    )
+    checks.append(_checked("coefficient-identity", float(np.max(np.abs(integral - pmf)))))
     # logarithmic residue of the kernel at u = 0.5, on radii between the
     # largest root (below 1 - 1e-12) and 1
     half = roots.row(1)
@@ -359,23 +347,14 @@ def run(config: RunConfig) -> RunResult:
         methods = ("dp",) + methods
     # one radius search serves the pollaczek table, the coefficient-identity
     # check and the report; a run without comparisons needs none.  Its
-    # certificate only has to cover the u circle the inversion samples.
+    # certificate only has to cover the u circle the inversion samples.  A
+    # search that finds no admissible radius raises before any table is built.
     nu, r_u = u_circle(config.n_max)
-    cert = None
-    if comparisons:
-        try:
-            cert = contour.choose_outer_radius(d, r_u)
-        except contour.RadiusSearchError as exc:
-            cert = exc
+    cert = contour.choose_outer_radius(d, r_u) if comparisons else None
     tables = _compute_tables(d, config, methods, cert)
     pairs = _compare_tables(tables, methods, config.tolerance) if comparisons else []
     checks = _structural_checks(d, tables["dp"], cert) if comparisons else []
-    if cert is None:
-        cert_info = {}
-    elif isinstance(cert, contour.RadiusSearchError):
-        cert_info = {"error": str(cert)}
-    else:
-        cert_info = {"b": cert.b, "v": cert.v, "margin": cert.margin}
+    cert_info = {} if cert is None else {"b": cert.b, "v": cert.v, "margin": cert.margin}
     env = {
         "family": d.family,
         "s": d.s,
@@ -433,10 +412,9 @@ def render_json(result: RunResult) -> str:
             "checks": [
                 {
                     "name": c.name,
-                    "residual": None if c.skipped else _format_float(c.residual),
+                    "residual": _format_float(c.residual),
                     "tolerance": _format_float(c.tolerance),
                     "passed": c.passed,
-                    "skipped": c.skipped,
                 }
                 for c in result.report.checks
             ],
@@ -456,9 +434,6 @@ def render_report_text(report: AgreementReport, verbose: bool = False) -> str:
             f"at (n, m) = {p.argmax_cell} (tol {p.tolerance:.1e})"
         )
     for c in report.checks:
-        if c.skipped:
-            lines.append(f"[SKIP] {c.name}: {c.skipped}")
-            continue
         status = "PASS" if c.passed else "FAIL"
         lines.append(
             f"[{status}] {c.name}: residual = {c.residual:.3e} (tol {c.tolerance:.1e})"

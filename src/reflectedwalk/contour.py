@@ -83,10 +83,17 @@ class RadiusCertificate:
 
 
 def choose_outer_radius(dist: IncrementDistribution, v: float) -> RadiusCertificate:
-    """Scan a geometric grid of radii b in (1, min(R, cap)) for the best margin.
+    """Outer radius b in (1, min(R, cap)) with margin v A(b) / b^s <= 1 - MARGIN_SLACK.
 
     A has nonnegative coefficients, so max_{|w|=b} |A(w)| = A(b) and the
     ratio v A(b) / b^s is a rigorous bound on |u A(w) / w^s| for |u| <= v.
+    A geometric grid of radii, starting a step above 1, gives the b of the
+    smallest margin.  Where no grid radius is admissible, which needs
+    J > s, b0 = ((1 - MARGIN_SLACK) / v)^(1 / (2 (J - s))) is: A(b) / b^s
+    <= b^(J - s) for b >= 1, so its margin is at most sqrt(v (1 -
+    MARGIN_SLACK)) < 1 - MARGIN_SLACK whenever v < 1 - MARGIN_SLACK.  Only
+    a larger v, or a b0 above the search's upper end, raises
+    RadiusSearchError.
     """
     if not 0.0 < v < 1.0:
         raise ValueError("v must lie in (0, 1)")
@@ -100,12 +107,16 @@ def choose_outer_radius(dist: IncrementDistribution, v: float) -> RadiusCertific
     grid = np.geomspace(lo, hi, OUTER_RADIUS_GRID)
     ratios = v * pgf_eval(dist, grid).real / grid**dist.s
     best = int(np.argmin(ratios))
-    if ratios[best] > 1.0 - MARGIN_SLACK:
+    b, margin = float(grid[best]), float(ratios[best])
+    if margin > 1.0 - MARGIN_SLACK and dist.j_max > dist.s:
+        b = ((1.0 - MARGIN_SLACK) / v) ** (0.5 / (dist.j_max - dist.s))
+        margin = float(v * pgf_eval(dist, b) / b**dist.s)
+    if not (1.0 < b <= hi and margin <= 1.0 - MARGIN_SLACK):
         raise RadiusSearchError(
-            f"no admissible radius for v = {v}; best ratio {float(ratios[best])!r} "
-            f"at b = {float(grid[best])!r}"
+            f"no admissible radius for v = {v}; best grid ratio "
+            f"{float(ratios[best])!r} at b = {float(grid[best])!r}"
         )
-    return RadiusCertificate(b=float(grid[best]), v=v, margin=float(ratios[best]))
+    return RadiusCertificate(b=b, v=v, margin=margin)
 
 
 def _circle_fft(f, r: float, quad: CircleQuadrature, gap, rows: int = 1) -> list:

@@ -174,14 +174,6 @@ def pgf_eval(dist: IncrementDistribution, w):
     return np.polyval(dist.pmf_a[::-1], w)
 
 
-def pgf_deriv_eval(dist: IncrementDistribution, w):
-    """A'(w); used by the log-residue check, through kernel_deriv_eval."""
-    coeffs = dist.pmf_a[1:] * np.arange(1, len(dist.pmf_a))
-    if coeffs.size == 0:
-        return np.zeros_like(np.asarray(w, dtype=complex)) if np.ndim(w) else 0.0
-    return np.polyval(coeffs[::-1], w)
-
-
 def walk_pmfs(dist: IncrementDistribution, l_max: int):
     """Laws of S_1, ..., S_{l_max} in turn, each as walk_pmf(dist, l) gives it.
 

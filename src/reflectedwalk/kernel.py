@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._complex import cexp, circle, clog
-from .dist import IncrementDistribution, pgf_deriv_eval, pgf_eval
+from .dist import IncrementDistribution, pgf_eval
 
 IN_DISK_TOL = 1e-12        # strict in-disk selection margin
 RESIDUAL_TOL = 1e-10       # hard cap on accepted root residuals
@@ -107,10 +107,6 @@ def kernel_coeffs(dist: IncrementDistribution, u) -> np.ndarray:
 
 def kernel_eval(dist: IncrementDistribution, u: complex, w):
     return w**dist.s - u * pgf_eval(dist, w)
-
-
-def kernel_deriv_eval(dist: IncrementDistribution, u: complex, w):
-    return dist.s * w ** (dist.s - 1) - u * pgf_deriv_eval(dist, w)
 
 
 def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
@@ -318,6 +314,7 @@ def root_logresidue_check(
     Left side: sum_k ln((z - z_k) / (1 - z_k)).  Right side: trapezoidal
     quadrature of (1/2 pi i) oint_{|w|=a} ln((z - w)/(1 - w)) k'(w)/k(w) dw.
     roots are the kernel roots at u; by default find_kernel_roots(dist, u).
+    k and k' are Horner sums of kernel_coeffs and of their derivative.
     Returns (lhs, rhs) as real numbers for the caller to compare.
     """
     if not (0.0 < u < 1.0):
@@ -331,10 +328,11 @@ def root_logresidue_check(
         )
     lhs = complex(np.sum(clog((z - roots.roots) / (1.0 - roots.roots))))
     w = circle(a, nodes)
-    kw = kernel_eval(dist, u, w)
+    coeffs = kernel_coeffs(dist, u)[::-1]
+    kw = np.polyval(coeffs, w)
     # relative to the term moduli |w|^s + u A(|w|), as A has nonnegative coefficients
     if np.min(np.abs(kw)) < 1e-12 * (a**dist.s + u * pgf_eval(dist, a)):
         raise ValueError("kernel modulus below 1e-12 of its scale on the contour |w| = a")
-    integrand = clog((z - w) / (1.0 - w)) * kernel_deriv_eval(dist, u, w) / kw
+    integrand = clog((z - w) / (1.0 - w)) * np.polyval(np.polyder(coeffs), w) / kw
     rhs = complex(np.mean(integrand * w))
     return lhs.real, rhs.real

@@ -158,12 +158,12 @@ def numerator_check(
     u is a scalar with roots from find_kernel_roots(dist, u), or a 1-D
     array whose row k of roots is for u[k].  Builds N(u, z) = z^s +
     u sum_{r<s} (z^s - z^r) F_r(u) from truncated boundary series and
-    returns the max over every u of |N(u, z_k)| at its roots and of
-    |N(u, 1) - 1|.  Each u truncates F_r at its own order, set from the
-    geometric tail bound so the truncation error is <= tol / 10.  One DP
-    table at the largest order serves every u, and N is evaluated at
-    every (u, point) pair at once, so the residual is the largest of the
-    calls for one u at a time, to the bit.
+    returns the max over every u of |N(u, z_k)| at its roots.  Each u
+    truncates F_r at its own order, set from the geometric tail bound so
+    the truncation error is <= tol / 10.  One DP table at the largest
+    order serves every u, and N is evaluated at every (u, root) pair at
+    once, so the residual is the largest of the calls for one u at a time,
+    to the bit.
     """
     us = np.atleast_1d(np.asarray(u, dtype=float))
     orders = [required_boundary_order(x, tol / 10.0) for x in us.tolist()]
@@ -175,12 +175,9 @@ def numerator_check(
     f_r = np.array([bnd[:, : n + 1] @ x ** np.arange(n + 1)
                     for x, n in zip(us.tolist(), orders)])
     s = dist.s
-    z = np.concatenate(
-        [np.reshape(roots.roots, (len(us), -1)), np.ones((len(us), 1))], axis=1
-    )
+    z = np.reshape(roots.roots, (len(us), -1))
     z_s = z**s
     val = z_s
     for r in range(s):
         val = val + us[:, None] * (z_s - z**r) * f_r[:, r, None]
-    val[:, -1] -= 1.0  # N(u, 1) = 1
     return float(np.max(np.abs(val)))

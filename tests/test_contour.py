@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reflectedwalk as rw
+from reflectedwalk import cli
 from reflectedwalk._complex import circle
 from reflectedwalk.contour import (
     QuadratureError,
@@ -71,6 +72,30 @@ class TestChooseOuterRadius:
     def test_inadmissible_v_rejected(self, simple):
         with pytest.raises(ValueError):
             rw.choose_outer_radius(simple, 1.5)
+
+    @pytest.mark.parametrize("n_max", [6, 100, 4095])
+    @pytest.mark.parametrize("family,s,params", [
+        ("poisson", 50, {"lam": 100.0}),
+        ("poisson", 50, {"lam": 200.0}),
+        ("deterministic", 1, {"c": 40}),
+    ])
+    def test_fallback_radius_admissible(self, family, s, params, n_max):
+        # positive drift: no grid radius passes, b0 = ((1 - slack) / v)^(1 / (2 (J - s)))
+        # does, with margin at most sqrt(v (1 - slack)): equal to it for A(w) =
+        # w^J, up to the rounding of b0's power
+        d = rw.make_family(family, s, **params)
+        v = cli.u_circle(n_max)[1]
+        slack = rw.contour.MARGIN_SLACK
+        cert = rw.choose_outer_radius(d, v)
+        assert cert.b == ((1.0 - slack) / v) ** (0.5 / (d.j_max - s))
+        assert 1.0 < cert.b < 1.05
+        assert cert.margin == v * rw.pgf_eval(d, cert.b) / cert.b**s
+        assert cert.margin <= np.sqrt(v * (1.0 - slack)) * (1.0 + 1e-12) < 1.0 - slack
+
+    def test_no_radius_above_the_slack(self, simple):
+        # zero drift: v A(b)/b^s >= v > 1 - MARGIN_SLACK at every b > 1
+        with pytest.raises(RadiusSearchError, match="no admissible radius"):
+            rw.choose_outer_radius(simple, cli.u_circle(4096)[1])
 
 
 class TestCircleFFT:

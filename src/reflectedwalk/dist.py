@@ -9,7 +9,9 @@ generating function downstream is an honest polynomial.
 
 from __future__ import annotations
 
+import bisect
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -17,6 +19,7 @@ import numpy as np
 
 TAIL_TOL = 1e-14
 SUPPORT_CAP = 2_000_000
+TERM_CAP = 100_000
 
 _FAMILY_ALIASES = {
     "deterministic": "deterministic",
@@ -47,6 +50,8 @@ class IncrementDistribution:
         p = np.asarray(self.pmf_a, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("pmf_a must be a nonempty 1-D array")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("pmf_a entries must be finite")
         if np.any(p < 0):
             raise ValueError("pmf_a entries must be nonnegative")
         # strip trailing zeros so J indexes the largest atom
@@ -55,7 +60,7 @@ class IncrementDistribution:
             raise ValueError("pmf_a must carry positive mass")
         p = p[: nz[-1] + 1].copy()
         total = p.sum()
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"pmf_a must sum to 1, got {total!r}")
         p /= total
         p.setflags(write=False)
@@ -85,6 +90,28 @@ class IncrementDistribution:
     def support_growth(self) -> int:
         """Max upward movement of the reflected walk per step."""
         return max(self.j_max - self.s, 0)
+
+
+def _cut_tail(first: float, step, name: str) -> tuple:
+    """Terms t_0 = first, t_j = step(t_{j-1}, j), and the tail defect.
+
+    Stops at the first J with 1 - fsum(t_0..t_J) <= TAIL_TOL.  The list
+    doubles until its whole sum passes that stop, then bisection finds J:
+    the terms are >= 0 and fsum rounds correctly, so prefix sums never
+    decrease.  That is O(J log J) work in fsum, not one fsum per term.
+    A J of TERM_CAP or more raises ValueError.
+    """
+    terms = [first]
+    while 1.0 - math.fsum(terms) > TAIL_TOL:
+        if len(terms) >= TERM_CAP:
+            raise ValueError(f"{name} truncation needs more than {TERM_CAP} terms")
+        for j in range(len(terms), min(2 * len(terms), TERM_CAP)):
+            terms.append(step(terms[-1], j))
+    j_max = bisect.bisect_left(
+        range(len(terms)), True, key=lambda j: 1.0 - math.fsum(terms[: j + 1]) <= TAIL_TOL
+    )
+    del terms[j_max + 1 :]
+    return np.array(terms), max(1.0 - math.fsum(terms), 0.0)
 
 
 def make_family(
@@ -132,34 +159,28 @@ def make_family(
             [math.comb(n, j) * p**j * (1.0 - p) ** (n - j) for j in range(n + 1)]
         )
     elif canonical == "poisson-truncated":
-        if lam is None or lam <= 0:
-            raise ValueError("poisson family needs lam > 0")
-        terms = [math.exp(-lam)]
-        while 1.0 - math.fsum(terms) > TAIL_TOL:
-            terms.append(terms[-1] * lam / len(terms))
-            if len(terms) > 100_000:
-                raise ValueError("poisson truncation did not converge")
-        defect = max(1.0 - math.fsum(terms), 0.0)
-        pmf = np.array(terms)
+        if lam is None or not 0 < lam < math.inf:
+            raise ValueError("poisson family needs a finite lam > 0")
+        first = math.exp(-lam)
+        # every term is P(A=0) times a ratio, so P(A=0) must be a normal float
+        if first < sys.float_info.min:
+            raise ValueError(f"poisson lam {lam!r} too large: exp(-lam) underflows")
+        pmf, defect = _cut_tail(first, lambda t, j: t * lam / j, "poisson")
     elif canonical == "geometric-truncated":
         if p is None or not 0 < p < 1:
             raise ValueError("geometric family needs p in (0, 1)")
         radius = 1.0 / (1.0 - p)
         if radius <= 1.0:
             raise ValueError("geometric family has pgf radius <= 1")
-        terms = [p]
-        while 1.0 - math.fsum(terms) > TAIL_TOL:
-            terms.append(terms[-1] * (1.0 - p))
-        defect = max(1.0 - math.fsum(terms), 0.0)
-        pmf = np.array(terms)
+        pmf, defect = _cut_tail(p, lambda t, j: t * (1.0 - p), "geometric")
     else:  # explicit
         if probs is None:
             raise ValueError("explicit family needs probs")
         pmf = np.asarray(probs, dtype=float)
 
     total = pmf.sum()
-    if abs(total - 1.0) > 1e-12:
-        raise ValueError(f"family pmf sums to {total!r}, not 1")
+    if not abs(total - 1.0) <= 1e-12:
+        raise ValueError(f"family pmf must be finite and sum to 1, got sum {float(total)!r}")
     return IncrementDistribution(
         s=s,
         pmf_a=pmf / total,

@@ -440,6 +440,17 @@ class TestMain:
         assert cli.main(["--config", cfg_path]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("methods", ["dp", "dp, spitzer, product"])
+    def test_nan_probability_exit_two(self, tmp_path, capsys, methods):
+        # a NaN pmf entry is a config error, not NaN cells or a radius failure
+        cfg_path = self._write(
+            tmp_path,
+            f"family = explicit\nprobs = 0.5 nan 0.5\ns = 1\nmethods = {methods}\n",
+        )
+        assert cli.main(["--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run failed") and "finite" in err
+
     def test_missing_file_exit_two(self, tmp_path):
         assert cli.main(["--config", str(tmp_path / "none.cfg")]) == 2
 

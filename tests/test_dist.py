@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -52,6 +53,67 @@ class TestMakeFamily:
     def test_invalid_parameters_rejected(self, family, kwargs):
         with pytest.raises(ValueError):
             rw.make_family(family, 1, **kwargs)
+
+    @pytest.mark.parametrize(
+        "family,kwargs,match",
+        [
+            ("explicit", {"probs": [0.5, math.nan, 0.5]}, "finite"),
+            ("explicit", {"probs": [math.inf, 0.0]}, "finite"),
+            ("poisson", {"lam": math.nan}, "finite lam"),
+            ("poisson", {"lam": math.inf}, "finite lam"),
+            ("poisson", {"lam": 800.0}, "underflows"),
+            ("poisson", {"lam": 710.0}, "underflows"),
+            ("geometric", {"p": math.nan}, "p in"),
+            ("geometric", {"p": 1e-4}, "more than 100000 terms"),
+        ],
+    )
+    def test_bad_input_raises_at_once(self, family, kwargs, match):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=match):
+            rw.make_family(family, 1, **kwargs)
+        assert time.perf_counter() - start < 1.0
+
+    def test_non_finite_pmf_rejected(self):
+        for bad in ([0.5, math.nan, 0.5], [math.nan], [1.0, -math.inf, math.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                rw.IncrementDistribution(s=1, pmf_a=np.array(bad))
+
+    def test_largest_poisson_lam(self):
+        # exp(-708) is still a normal float, and the pmf sums to 1
+        d = rw.make_family("poisson", 1, lam=708.0)
+        assert abs(d.pmf_a.sum() - 1.0) <= 1e-14
+        assert d.truncation_defect <= 1e-14
+
+    def test_long_geometric_builds_fast(self):
+        start = time.perf_counter()
+        d = rw.make_family("geometric", 1, p=1e-3)
+        assert time.perf_counter() - start < 1.0
+        assert d.j_max == 32_359
+        assert d.truncation_defect <= 1e-14
+
+    @pytest.mark.parametrize(
+        "family,kwargs",
+        [
+            ("poisson", {"lam": 1.2}),
+            ("poisson", {"lam": 14.0}),
+            ("poisson", {"lam": 45.0}),
+            ("poisson", {"lam": 300.0}),
+            ("geometric", {"p": 0.5}),
+            ("geometric", {"p": 0.05}),
+            ("geometric", {"p": 0.01}),
+        ],
+    )
+    def test_truncation_is_the_per_term_fsum_stop(self, family, kwargs):
+        # the first J with 1 - fsum(t_0..t_J) <= TAIL_TOL, as a per-term
+        # fsum loop finds it, with the same terms and defect to the bit
+        lam, p = kwargs.get("lam"), kwargs.get("p")
+        terms = [math.exp(-lam) if lam else p]
+        while 1.0 - math.fsum(terms) > rw.dist.TAIL_TOL:
+            terms.append(terms[-1] * lam / len(terms) if lam else terms[-1] * (1.0 - p))
+        d = rw.make_family(family, 1, **kwargs)
+        assert d.j_max == len(terms) - 1
+        np.testing.assert_array_equal(d.pmf_a, rw.make_family("explicit", 1, probs=terms).pmf_a)
+        assert d.truncation_defect == max(1.0 - math.fsum(terms), 0.0)
 
     def test_zero_p0_warns(self):
         with pytest.warns(UserWarning, match="origin"):

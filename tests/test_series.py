@@ -100,6 +100,31 @@ class TestExpLog:
         err = np.max(np.abs(got - want), axis=1)
         assert np.all(err <= 1e-13 * want.sum(axis=1))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_banded_exponent_matches_schoolbook(self, order, degree, k, seed):
+        # row l has degree min(M, l k), some rows are zero, and rows with
+        # n k > M are cut; exp is exactly 0 wherever the exact series is
+        rng = np.random.default_rng(seed)
+        g = rng.uniform(0.1, 1.0, (order + 1, degree + 1))
+        cols = np.arange(degree + 1)[None, :]
+        g[cols > np.arange(order + 1)[:, None] * k] = 0.0
+        g[rng.random(order + 1) < 0.3] = 0.0
+        g[0] = 0.0
+        want = _exp_schoolbook(g)
+        got = rw.series_exp(g)
+        err = np.max(np.abs(got - want), axis=1)
+        assert np.all(err <= 1e-13 * want.sum(axis=1))
+        # nonnegative terms cannot cancel: the schoolbook zeros are the
+        # structural ones, and each row n vanishes above degree n k
+        np.testing.assert_array_equal(got == 0.0, want == 0.0)
+        assert not np.any(got[cols > np.arange(order + 1)[:, None] * k])
+
     def test_truncation_is_prefix_exact(self):
         # rows of l g_l summing to 1, as in the Spitzer series, so every row
         # of exp sums to at most 1; the transform length changes with M
@@ -187,6 +212,31 @@ class TestSpitzerSeries:
         assert rows.sum() > 1
         assert np.max(np.abs(f[rows] - dp.probs[rows])) <= 1e-14
         assert f.min() >= -1e-12
+        # above the support of M_n both tables hold exact zeros, not roundoff
+        above = np.arange(1501)[None, :] > np.arange(101)[:, None] * d.support_growth
+        assert above.sum() == 75_750
+        np.testing.assert_array_equal(f[above], 0.0)
+        np.testing.assert_array_equal(dp.probs[above], 0.0)
+
+    def test_transform_length_from_the_degree_bounds(self, monkeypatch):
+        # every row complete: products reach degree N (J - s) = 1500, not 2M
+        sizes = []
+        rfft = np.fft.rfft
+
+        def spy(a, n=None, *args, **kwargs):
+            sizes.append(n)
+            return rfft(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", spy)
+        rw.spitzer_series(rw.make_family("poisson", 2, lam=1.2), 100, 1500)
+        assert set(sizes) == {2048}
+        # a dense g reaches degree 2M in g_1 f_1, as it did before the bounds
+        for m in (0, 1, 5, 64, 700):
+            sizes.clear()
+            g = np.random.default_rng(m).uniform(0.1, 1.0, (4, m + 1))
+            g[0] = 0.0
+            rw.series_exp(g)
+            assert set(sizes) == {1 << (2 * m).bit_length()}
 
     def test_support_cap_as_walk_pmf(self, simple, monkeypatch):
         # the laws of S_1 .. S_N come from dist.walk_pmfs, under its cap

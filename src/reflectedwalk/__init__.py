@@ -11,7 +11,6 @@ from .contour import (
     QuadratureError,
     RadiusCertificate,
     RadiusSearchError,
-    cauchy_coeff,
     choose_outer_radius,
     pollaczek_eval,
     verify_coeff_identity,
@@ -48,7 +47,6 @@ __all__ = [
     "QuadratureError",
     "RadiusCertificate",
     "RadiusSearchError",
-    "cauchy_coeff",
     "choose_outer_radius",
     "pollaczek_eval",
     "verify_coeff_identity",

@@ -181,23 +181,6 @@ def _cauchy_rows(f, n: np.ndarray, r: float, quad: CircleQuadrature) -> np.ndarr
     return np.concatenate([read(x[None], [i]) for i, x in enumerate(spectra)])
 
 
-def cauchy_coeff(f, n, r: float, quad: CircleQuadrature):
-    """n-th series coefficient of f as (1/2 pi i) oint_{|w|=r} f(w) / w^{n+1} dw.
-
-    n is an int or an int array; every n is read from one transform per
-    node count, which doubles until no requested coefficient moves by tol.
-    f must accept a complex ndarray of contour nodes.  Exact up to roundoff
-    for polynomials of degree < nodes.
-    """
-    n_arr = np.asarray(n)
-    if np.any(n_arr < 0):
-        raise ValueError("n must be >= 0")
-    if r <= 0:
-        raise ValueError("r must be positive")
-    coeffs = _cauchy_rows(lambda w, live: f(w)[None], n_arr.reshape(1, -1), r, quad)
-    return complex(coeffs[0, 0]) if n_arr.ndim == 0 else coeffs.reshape(n_arr.shape)
-
-
 def _plus_part(dist, u: np.ndarray, cert, quad, rho: float) -> np.ndarray:
     """Scaled plus-part coefficients a_k = c_k b^k, k < nodes / 2, a_0 = 0.
 

@@ -20,6 +20,8 @@ import numpy as np
 TAIL_TOL = 1e-14
 SUPPORT_CAP = 2_000_000
 TERM_CAP = 100_000
+# largest binomial n whose every C(n, j) converts to a float
+BINOMIAL_N_MAX = 1029
 
 _FAMILY_ALIASES = {
     "deterministic": "deterministic",
@@ -137,14 +139,18 @@ def make_family(
 
     radius = math.inf
     defect = 0.0
+    # c and n are counts: int() would truncate 2.5 to 2 silently, and raise
+    # OverflowError, not ValueError, on an infinite value
     if canonical == "deterministic":
-        if c is None or c < 0 or c != int(c):
+        if c is None or not math.isfinite(c) or c < 0 or c != int(c):
             raise ValueError("deterministic family needs a nonnegative integer c")
         pmf = np.zeros(int(c) + 1)
         pmf[int(c)] = 1.0
     elif canonical == "bernoulli-scaled":
         if p is None or not 0 <= p <= 1:
             raise ValueError("bernoulli family needs p in [0, 1]")
+        if c is not None and not (math.isfinite(c) and c == int(c)):
+            raise ValueError(f"bernoulli scale c must be an integer, got {c!r}")
         scale = 1 if c is None else int(c)
         if scale < 1:
             raise ValueError("bernoulli scale c must be >= 1")
@@ -152,8 +158,13 @@ def make_family(
         pmf[0] = 1.0 - p
         pmf[scale] = p
     elif canonical == "binomial":
-        if n is None or n < 0 or p is None or not 0 <= p <= 1:
+        if n is None or not n >= 0 or p is None or not 0 <= p <= 1:
             raise ValueError("binomial family needs n >= 0 and p in [0, 1]")
+        # above BINOMIAL_N_MAX, float(C(n, j)) raises OverflowError
+        if n > BINOMIAL_N_MAX:
+            raise ValueError(f"binomial family needs n <= {BINOMIAL_N_MAX}, got {n}")
+        if n != int(n):
+            raise ValueError(f"binomial family needs an integer n, got {n!r}")
         n = int(n)
         pmf = np.array(
             [math.comb(n, j) * p**j * (1.0 - p) ** (n - j) for j in range(n + 1)]

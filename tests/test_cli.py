@@ -357,15 +357,9 @@ class TestRendering:
         # 2 methods x 9 complete rows x 9 columns
         assert len(lines) == 1 + 2 * 9 * 9
 
-    def test_csv_matches_per_cell_formula(self):
-        # signed zero, a subnormal and tiny values keep their repr text
-        rng = np.random.default_rng(3)
-        probs = rng.random((4, 7)) * 10.0 ** rng.integers(-320, 1, (4, 7))
-        probs[0, :4] = [-0.0, 5e-324, 1e-300, 2.5e-310]
-        tables = {
-            name: rw.DistributionTable(probs * k, name, [True, False, True, True], np.zeros(4))
-            for k, name in ((1.0, "spitzer"), (-3.0, "dp"))
-        }
+    @staticmethod
+    def _per_cell_csv(tables):
+        """The CSV by its definition: one repr per cell of every complete row."""
         want = ["n,m,method,probability"]
         for name in sorted(tables):
             t = tables[name]
@@ -373,10 +367,78 @@ class TestRendering:
                 if t.complete_rows[n]:
                     want += [f"{n},{m},{name},{repr(float(t.probs[n, m]))}"
                              for m in range(t.m_max + 1)]
+        return "\n".join(want) + "\n"
+
+    def test_csv_matches_per_cell_formula(self):
+        # signed zeros, subnormals, tiny values and +0.0 tails of every
+        # length keep their repr text
+        rng = np.random.default_rng(3)
+        probs = rng.random((10, 7)) * 10.0 ** rng.integers(-320, 1, (10, 7))
+        probs[0, :4] = [-0.0, 5e-324, 1e-300, 2.5e-310]
+        probs[2, 6:] = 0.0            # +0.0 tail of one cell
+        probs[3, 4:] = 0.0            # of three
+        probs[4, 1:] = 0.0            # of all but the first
+        probs[5, 5:] = [-0.0, -0.0]   # -0.0 tails print as -0.0
+        probs[6, 3:] = [0.0, 0.0, 0.0, -0.0]
+        probs[7] = 0.0                # an all-zero row
+        probs[8, [1, 2, 4]] = 0.0     # +0.0 inside the row, nonzero after
+        probs[9, 5:] = [0.0, 4e-320]  # a subnormal last cell
+        complete = [True, False] + [True] * 8
+        tables = {
+            name: rw.DistributionTable(probs * k, name, complete, np.zeros(10))
+            for k, name in ((1.0, "spitzer"), (-3.0, "dp"))
+        }
         text = cli.render_csv(cli.RunResult(tables, None))
-        assert text == "\n".join(want) + "\n"
-        assert "0,0,spitzer,-0.0" in text and "0,1,spitzer,5e-324" in text
-        assert "0,2,spitzer,1e-300" in text
+        assert text == self._per_cell_csv(tables)
+        lines = text.splitlines()
+        assert "0,0,spitzer,-0.0" in lines and "0,1,spitzer,5e-324" in lines
+        assert "0,2,spitzer,1e-300" in lines
+        assert "2,6,spitzer,0.0" in lines and "4,6,spitzer,0.0" in lines
+        assert "5,5,spitzer,-0.0" in lines and "5,6,spitzer,-0.0" in lines
+        assert "5,5,dp,0.0" in lines  # -3 * -0.0 = +0.0
+        assert "6,6,spitzer,-0.0" in lines and "6,5,spitzer,0.0" in lines
+        assert all(f"7,{m},spitzer,0.0" in lines for m in range(7))
+        assert all(f"7,{m},dp,-0.0" in lines for m in range(7))  # -3 * +0.0
+        assert "8,1,spitzer,0.0" in lines and "8,3,spitzer,0.0" not in lines
+        assert "9,6,spitzer,4e-320" in lines
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_csv_matches_per_cell_formula_property(self, data):
+        # random shapes, +0.0 and -0.0 tails of random length, zeros inside
+        # rows, magnitudes from 1e-320 to 1, and non-contiguous tables
+        rows = data.draw(st.integers(1, 6), label="rows")
+        width = data.draw(st.integers(1, 12), label="width")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        probs = rng.random((rows, width)) * 10.0 ** rng.uniform(-320, 0, (rows, width))
+        probs *= rng.choice([-1.0, 1.0], (rows, width))
+        probs[rng.random((rows, width)) < 0.2] = 0.0
+        for n in range(rows):
+            start = int(rng.integers(0, width + 1))
+            probs[n, start:] = rng.choice([0.0, -0.0], width - start, p=[0.8, 0.2])
+        if data.draw(st.booleans(), label="transposed"):
+            probs = np.ascontiguousarray(probs.T).T
+        complete = rng.random(rows) < 0.8
+        tables = {
+            "dp": rw.DistributionTable(probs, "dp", complete, np.zeros(rows)),
+            "product": rw.DistributionTable(probs[::-1], "product", complete, np.zeros(rows)),
+        }
+        assert cli.render_csv(cli.RunResult(tables, None)) == self._per_cell_csv(tables)
+
+    def test_csv_matches_per_cell_formula_at_heavy_traffic_shape(self):
+        # poisson(1.2), s = 2, N = 100, M = 1500: most cells of both tables
+        # are the exact-zero tail above the support n (J - s)
+        result = cli.run(cli.parse_config(
+            "family = poisson\nlam = 1.2\ns = 2\nmethods = dp, spitzer\n"
+            "n_max = 100\nm_max = 1500\n"
+        ))
+        assert set(result.tables) == {"dp", "spitzer"}
+        above = np.arange(1501) > 15 * np.arange(101)[:, None]  # J - s = 15
+        for t in result.tables.values():
+            assert np.all(t.probs.view(np.uint64)[above] == 0)
+        assert np.count_nonzero(above) == 75750
+        assert cli.render_csv(result) == self._per_cell_csv(result.tables)
 
     def test_json_matches_per_cell_formula(self):
         # the same cells as the CSV test, each as _format_float writes it
@@ -450,6 +512,13 @@ class TestMain:
         assert cli.main(["--config", cfg_path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("run failed") and "finite" in err
+
+    def test_unrepresentable_binomial_exit_two(self, tmp_path, capsys):
+        # C(2000, j) overflows a float: a one-line run error, no traceback
+        cfg_path = self._write(tmp_path, "family = binomial\nn = 2000\np = 0.5\ns = 1\n")
+        assert cli.main(["--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert err == "run failed: binomial family needs n <= 1029, got 2000\n"
 
     def test_missing_file_exit_two(self, tmp_path):
         assert cli.main(["--config", str(tmp_path / "none.cfg")]) == 2

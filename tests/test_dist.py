@@ -65,6 +65,16 @@ class TestMakeFamily:
             ("poisson", {"lam": 710.0}, "underflows"),
             ("geometric", {"p": math.nan}, "p in"),
             ("geometric", {"p": 1e-4}, "more than 100000 terms"),
+            ("binomial", {"n": 2000, "p": 0.5}, "n <= 1029"),
+            ("binomial", {"n": 1030, "p": 0.01}, "n <= 1029"),
+            ("binomial", {"n": math.inf, "p": 0.5}, "n <= 1029"),
+            ("binomial", {"n": math.nan, "p": 0.5}, "n >= 0"),
+            ("binomial", {"n": 2.5, "p": 0.5}, "integer n"),
+            ("deterministic", {"c": math.inf}, "integer c"),
+            ("deterministic", {"c": math.nan}, "integer c"),
+            ("bernoulli", {"c": math.inf, "p": 0.5}, "integer"),
+            ("bernoulli", {"c": math.nan, "p": 0.5}, "integer"),
+            ("bernoulli", {"c": 2.5, "p": 0.5}, "integer"),
         ],
     )
     def test_bad_input_raises_at_once(self, family, kwargs, match):
@@ -77,6 +87,15 @@ class TestMakeFamily:
         for bad in ([0.5, math.nan, 0.5], [math.nan], [1.0, -math.inf, math.inf]):
             with pytest.raises(ValueError, match="finite"):
                 rw.IncrementDistribution(s=1, pmf_a=np.array(bad))
+
+    def test_largest_binomial_n(self):
+        # every C(n, j) is a float up to BINOMIAL_N_MAX and no further
+        top = rw.dist.BINOMIAL_N_MAX
+        assert math.isfinite(float(math.comb(top, top // 2)))
+        with pytest.raises(OverflowError):
+            float(math.comb(top + 1, (top + 1) // 2))
+        d = rw.make_family("binomial", 1, n=top, p=0.5)
+        assert d.j_max == top and abs(d.pmf_a.sum() - 1.0) <= 1e-12
 
     def test_largest_poisson_lam(self):
         # exp(-708) is still a normal float, and the pmf sums to 1

@@ -458,6 +458,28 @@ class TestLogResidueCheck:
                                          roots=rw.find_kernel_roots(d, 0.25))
         assert wrong[0] != own[0] and wrong[1] == own[1]
 
+    @pytest.mark.parametrize(
+        "family,s,kwargs,nodes",
+        [
+            ("poisson", 2, {"lam": 1.2}, 512),
+            ("poisson", 15, {"lam": 14.0}, 2048),
+            # J = 51 >= 32 nodes: the coefficients fold mod the node count
+            ("poisson", 15, {"lam": 14.0}, 32),
+        ],
+    )
+    def test_transform_matches_horner(self, family, s, kwargs, nodes):
+        # the contour integral from k and w k' by Horner sums on the circle
+        d = rw.make_family(family, s, **kwargs)
+        roots = rw.find_kernel_roots(d, 0.5)
+        z = 0.5 * (roots.max_modulus + 1.0)
+        a = 0.5 * (roots.max_modulus + z)
+        coeffs = kernel.kernel_coeffs(d, 0.5)[::-1]
+        w = a * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+        kw = np.polyval(coeffs, w)
+        horner = np.mean(np.log((z - w) / (1.0 - w)) * w * np.polyval(np.polyder(coeffs), w) / kw)
+        _, rhs = rw.root_logresidue_check(d, 0.5, z, a, nodes=nodes, roots=roots)
+        assert abs(rhs - horner.real) <= 1e-12 * max(1.0, abs(horner))
+
     def test_radius_ordering_enforced(self, simple):
         with pytest.raises(ValueError, match="<"):
             rw.root_logresidue_check(simple, 0.5, 0.6, 0.7, nodes=512)

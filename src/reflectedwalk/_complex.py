@@ -48,3 +48,14 @@ def cexp(x) -> np.ndarray:
 def circle(radius: float, nodes: int) -> np.ndarray:
     """The nodes radius exp(2 pi i k / nodes), k = 0 .. nodes - 1, in order."""
     return radius * cexp(2j * np.pi * np.arange(nodes) / nodes)
+
+
+def circle_polyval(coeffs, nodes: int) -> np.ndarray:
+    """sum_k c_k w^k at the nodes w of circle(1, nodes), along the last axis.
+
+    w^k depends on k mod nodes only: the ascending coefficients, of any
+    degree, fold mod nodes, and one unnormalized inverse FFT does the rest.
+    """
+    c = np.asarray(coeffs)
+    c = np.pad(c, [(0, 0)] * (c.ndim - 1) + [(0, -c.shape[-1] % nodes)])
+    return np.fft.ifft(c.reshape(c.shape[:-1] + (-1, nodes)).sum(axis=-2), norm="forward")

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._complex import cexp, circle, clog
+from ._complex import cexp, circle, circle_polyval, clog
 from .dist import IncrementDistribution, pgf_eval, walk_pmfs
 
 OUTER_RADIUS_CAP = 8.0
@@ -83,35 +83,31 @@ class RadiusCertificate:
 
 
 def choose_outer_radius(dist: IncrementDistribution, v: float) -> RadiusCertificate:
-    """Outer radius b in (1, min(R, cap)) with margin v A(b) / b^s <= 1 - MARGIN_SLACK.
+    """Outer radius b in (1, OUTER_RADIUS_CAP] with margin v A(b) / b^s <= 1 - MARGIN_SLACK.
 
-    A has nonnegative coefficients, so max_{|w|=b} |A(w)| = A(b) and the
-    ratio v A(b) / b^s is a rigorous bound on |u A(w) / w^s| for |u| <= v.
-    A geometric grid of radii, starting a step above 1, gives the b of the
-    smallest margin.  Where no grid radius is admissible, which needs
-    J > s, b0 = ((1 - MARGIN_SLACK) / v)^(1 / (2 (J - s))) is: A(b) / b^s
-    <= b^(J - s) for b >= 1, so its margin is at most sqrt(v (1 -
-    MARGIN_SLACK)) < 1 - MARGIN_SLACK whenever v < 1 - MARGIN_SLACK.  Only
-    a larger v, or a b0 above the search's upper end, raises
+    A is a polynomial with nonnegative coefficients, so at every b the ratio
+    v A(b) / b^s bounds |u A(w) / w^s| on |w| = b for |u| <= v; where A(b)
+    overflows, the ratio is inf and inadmissible.  A geometric grid from
+    1.05 to the cap gives the b of the smallest margin; it starts a margin
+    above 1, as nearer 1 the circle nears the kernel zeros close to the unit
+    circle and the plus-part FFT needs more nodes.  Where no grid radius is
+    admissible, which needs J > s, b0 = ((1 - MARGIN_SLACK) / v)^(1 / (2 (J
+    - s))) is: A(b) / b^s <= b^(J - s) for b >= 1, so its margin is at most
+    sqrt(v (1 - MARGIN_SLACK)) < 1 - MARGIN_SLACK whenever v < 1 -
+    MARGIN_SLACK.  Only a larger v, or a b0 above the cap, raises
     RadiusSearchError.
     """
     if not 0.0 < v < 1.0:
         raise ValueError("v must lie in (0, 1)")
-    hi = min(dist.analyticity_radius_hint * (1.0 - 1e-6), OUTER_RADIUS_CAP)
-    if hi <= 1.0:
-        raise RadiusSearchError("no room above 1 below the analyticity radius")
-    # start a margin above 1: as b -> 1 the circle nears the kernel zeros
-    # close to the unit circle, L(w) varies faster on it and the plus-part
-    # FFT needs more nodes
-    lo = 1.0 + 0.05 * min(1.0, hi - 1.0)
-    grid = np.geomspace(lo, hi, OUTER_RADIUS_GRID)
-    ratios = v * pgf_eval(dist, grid).real / grid**dist.s
+    grid = np.geomspace(1.05, OUTER_RADIUS_CAP, OUTER_RADIUS_GRID)
+    with np.errstate(over="ignore"):
+        ratios = v * pgf_eval(dist, grid).real / grid**dist.s
     best = int(np.argmin(ratios))
     b, margin = float(grid[best]), float(ratios[best])
     if margin > 1.0 - MARGIN_SLACK and dist.j_max > dist.s:
         b = ((1.0 - MARGIN_SLACK) / v) ** (0.5 / (dist.j_max - dist.s))
         margin = float(v * pgf_eval(dist, b) / b**dist.s)
-    if not (1.0 < b <= hi and margin <= 1.0 - MARGIN_SLACK):
+    if not (1.0 < b <= OUTER_RADIUS_CAP and margin <= 1.0 - MARGIN_SLACK):
         raise RadiusSearchError(
             f"no admissible radius for v = {v}; best grid ratio "
             f"{float(ratios[best])!r} at b = {float(grid[best])!r}"
@@ -266,17 +262,14 @@ def pollaczek_unit_grid(
     """F(u, w_j) at the nz-th roots of unity w_j = exp(2 pi i j / nz).
 
     u is a scalar or an ndarray; the result has shape u.shape + (nz,).
-    E(w_j) = sum_k c_k - sum_r C_r w_j^r with C_r = sum_{k = r mod nz} c_k,
-    so folding the c_k and one inverse FFT give every node at once; E(1) is
-    set to its exact value 0.
+    E(w_j) = sum_k c_k - sum_k c_k w_j^k, one circle_polyval for every node
+    at once; E(1) is set to its exact value 0.
     """
     _check_u(u, cert)
     u_arr = np.asarray(u)
     a = _plus_part(dist, u_arr.reshape(-1), cert, quad, rho=1.0)
     c = a * cert.b ** -np.arange(a.shape[-1])
-    folded = np.pad(c, ((0, 0), (0, -c.shape[-1] % nz)))
-    folded = folded.reshape(len(c), -1, nz).sum(axis=1)
-    exponent = c.sum(axis=-1, keepdims=True) - nz * np.fft.ifft(folded)
+    exponent = c.sum(axis=-1, keepdims=True) - circle_polyval(c, nz)
     exponent[:, 0] = 0.0
     # a scalar u divides in its own arithmetic, as in pollaczek_eval, so
     # F(u, 1) is 1 / (1 - u) to the bit

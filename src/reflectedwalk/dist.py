@@ -23,17 +23,7 @@ TERM_CAP = 100_000
 # largest binomial n whose every C(n, j) converts to a float
 BINOMIAL_N_MAX = 1029
 
-_FAMILY_ALIASES = {
-    "deterministic": "deterministic",
-    "bernoulli": "bernoulli-scaled",
-    "bernoulli-scaled": "bernoulli-scaled",
-    "binomial": "binomial",
-    "poisson": "poisson-truncated",
-    "poisson-truncated": "poisson-truncated",
-    "geometric": "geometric-truncated",
-    "geometric-truncated": "geometric-truncated",
-    "explicit": "explicit",
-}
+_FAMILIES = ("deterministic", "bernoulli", "binomial", "poisson", "geometric", "explicit")
 
 
 @dataclass(frozen=True)
@@ -44,7 +34,6 @@ class IncrementDistribution:
     pmf_a: np.ndarray
     family: str = "explicit"
     truncation_defect: float = 0.0
-    analyticity_radius_hint: float = math.inf
 
     def __post_init__(self):
         if self.s < 1:
@@ -70,11 +59,6 @@ class IncrementDistribution:
         if self.truncation_defect < 0 or self.truncation_defect > TAIL_TOL:
             raise ValueError(
                 f"truncation defect {self.truncation_defect!r} exceeds {TAIL_TOL}"
-            )
-        if self.analyticity_radius_hint <= 1.0:
-            raise ValueError(
-                "pgf analyticity radius must exceed 1 "
-                f"(got {self.analyticity_radius_hint!r})"
             )
         if p[0] == 0.0:
             warnings.warn(
@@ -128,25 +112,22 @@ def make_family(
 ) -> IncrementDistribution:
     """Build a named increment distribution; infinite tails are cut at TAIL_TOL.
 
-    Families: ``deterministic`` (A = c), ``bernoulli-scaled`` (A in {0, c}),
-    ``binomial`` (A ~ Bin(n, p)), ``poisson-truncated`` (A ~ Poi(lam)),
-    ``geometric-truncated`` (P(A=j) = p (1-p)^j) and ``explicit``.
+    Families: ``deterministic`` (A = c), ``bernoulli`` (A in {0, c}),
+    ``binomial`` (A ~ Bin(n, p)), ``poisson`` (A ~ Poi(lam)),
+    ``geometric`` (P(A=j) = p (1-p)^j) and ``explicit``.
     """
-    try:
-        canonical = _FAMILY_ALIASES[family]
-    except KeyError:
-        raise ValueError(f"unknown family {family!r}") from None
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
 
-    radius = math.inf
     defect = 0.0
     # c and n are counts: int() would truncate 2.5 to 2 silently, and raise
     # OverflowError, not ValueError, on an infinite value
-    if canonical == "deterministic":
+    if family == "deterministic":
         if c is None or not math.isfinite(c) or c < 0 or c != int(c):
             raise ValueError("deterministic family needs a nonnegative integer c")
         pmf = np.zeros(int(c) + 1)
         pmf[int(c)] = 1.0
-    elif canonical == "bernoulli-scaled":
+    elif family == "bernoulli":
         if p is None or not 0 <= p <= 1:
             raise ValueError("bernoulli family needs p in [0, 1]")
         if c is not None and not (math.isfinite(c) and c == int(c)):
@@ -157,7 +138,7 @@ def make_family(
         pmf = np.zeros(scale + 1)
         pmf[0] = 1.0 - p
         pmf[scale] = p
-    elif canonical == "binomial":
+    elif family == "binomial":
         if n is None or not n >= 0 or p is None or not 0 <= p <= 1:
             raise ValueError("binomial family needs n >= 0 and p in [0, 1]")
         # above BINOMIAL_N_MAX, float(C(n, j)) raises OverflowError
@@ -169,7 +150,7 @@ def make_family(
         pmf = np.array(
             [math.comb(n, j) * p**j * (1.0 - p) ** (n - j) for j in range(n + 1)]
         )
-    elif canonical == "poisson-truncated":
+    elif family == "poisson":
         if lam is None or not 0 < lam < math.inf:
             raise ValueError("poisson family needs a finite lam > 0")
         first = math.exp(-lam)
@@ -177,12 +158,9 @@ def make_family(
         if first < sys.float_info.min:
             raise ValueError(f"poisson lam {lam!r} too large: exp(-lam) underflows")
         pmf, defect = _cut_tail(first, lambda t, j: t * lam / j, "poisson")
-    elif canonical == "geometric-truncated":
+    elif family == "geometric":
         if p is None or not 0 < p < 1:
             raise ValueError("geometric family needs p in (0, 1)")
-        radius = 1.0 / (1.0 - p)
-        if radius <= 1.0:
-            raise ValueError("geometric family has pgf radius <= 1")
         pmf, defect = _cut_tail(p, lambda t, j: t * (1.0 - p), "geometric")
     else:  # explicit
         if probs is None:
@@ -195,9 +173,8 @@ def make_family(
     return IncrementDistribution(
         s=s,
         pmf_a=pmf / total,
-        family=canonical,
+        family=family,
         truncation_defect=defect,
-        analyticity_radius_hint=radius,
     )
 
 

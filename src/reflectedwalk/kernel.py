@@ -12,26 +12,29 @@ R = k mod P.  P is then the exact in-disk factor of k - R, and on |z| = 1,
 1/k = z^-s sum_n (u A(z) z^-s)^n has Wiener norm <= 1/(1 - |u|).  So with
 the certificate eps = ||R||_1 / (1 - |u|) < 1 and every z_k inside the
 disk, Rouche keeps the count, and |log(F_roots / F)| <= -2 log(1 - eps)
-at every |z| = 1, however ill-conditioned the single roots are.  Rounding
-adds O(J eps) to the computed eps.
+at every |z| = 1, however ill-conditioned the single roots are.  The
+computed eps certifies the roots of P as expanded in floating point; it
+departs from the eps of the z_k by a few machine eps times the moduli of
+the coefficients the expansion and the division pass through, which
+_certificate's expansion order keeps small.
 
 find_kernel_roots is the one entry point, for a scalar u or an array of
 them.  At u[0] it solves globally via companion-matrix eigenvalues, as
 np.roots does: one eigenvalue call, as a real matrix for a real u.  The
 s eigenvalues with |z| < 1 - IN_DISK_TOL, which must be s, are kept as
-they come, and every one must meet RESIDUAL_TOL, or KernelRootError
-names the u.  The companion's eigenvalues are backward stable as a set,
-the exact roots of one nearby polynomial, so their product is accurate
-even where single roots are not.
+they come, and must pass _accepted, the one in-disk and RESIDUAL_TOL test
+of companion and Newton rows alike, or KernelRootError names the u.  The
+companion's eigenvalues are backward stable as a set, the exact roots of
+one nearby polynomial, so their product is accurate even where single
+roots are not.
 
 The roots z_k(u) are analytic in u, so every other node of an array is
 seeded with z_k(u_0) (u/u_0)^(1/s), and Newton runs on all (u, root)
 pairs at once, each to roundoff.  A node keeps its Newton roots only if
-every pair reached that stop, all s lie inside the disk and within
-RESIDUAL_TOL, and their certificate is at most max(ETA, eps_0), eps_0
-being the certificate of u[0]'s companion roots.  Every other node, and
-every node when u[0] = 0 leaves nothing to seed from, gets its own
-companion solve.
+every pair reached that stop, the row passes _accepted, and its
+certificate is at most max(ETA, eps_0), eps_0 being the certificate of
+u[0]'s companion roots.  Every other node, and every node when u[0] = 0
+leaves nothing to seed from, gets its own companion solve.
 
 A small residual per root does not certify the product.  On poisson(45),
 s = 50, Newton from the seeds ends on root sets that mostly meet
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._complex import cexp, circle, clog
+from ._complex import cexp, circle, circle_polyval, clog
 from .dist import IncrementDistribution, pgf_eval
 
 IN_DISK_TOL = 1e-12        # strict in-disk selection margin
@@ -61,26 +64,19 @@ ETA = 1e-15
 
 
 class KernelRootError(RuntimeError):
-    """Root finding or selection failed; carries the full root list."""
+    """A companion solve failed; the message names its u and the root moduli or residuals."""
 
 
 @dataclass(frozen=True)
 class RootSet:
-    """The s in-disk kernel roots for a scalar u, or row k for u[k] of an array.
-
-    roots and residuals have shape u.shape + (s,).
-    """
+    """The s in-disk kernel roots at u, a scalar or an array: shape u.shape + (s,)."""
 
     roots: np.ndarray
-    residuals: np.ndarray
 
     def __post_init__(self):
         r = np.asarray(self.roots, dtype=complex)
         r.setflags(write=False)
         object.__setattr__(self, "roots", r)
-        res = np.asarray(self.residuals, dtype=float)
-        res.setflags(write=False)
-        object.__setattr__(self, "residuals", res)
 
     def __len__(self) -> int:
         return self.roots.shape[-1]
@@ -92,7 +88,7 @@ class RootSet:
 
     def row(self, k: int) -> "RootSet":
         """Row k alone: the RootSet of the scalar u[k]."""
-        return RootSet(self.roots[k], self.residuals[k])
+        return RootSet(self.roots[k])
 
 
 def kernel_coeffs(dist: IncrementDistribution, u) -> np.ndarray:
@@ -132,8 +128,14 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
     return roots
 
 
-def _companion_rows(dist: IncrementDistribution, us: np.ndarray):
-    """The s in-disk roots and their residuals at each u of a 1-D array.
+def _accepted(dist, u, z):
+    """Which rows of roots z (n, s) at u (n,) lie inside the disk and meet RESIDUAL_TOL."""
+    residuals = np.abs(kernel_eval(dist, u[:, None], z))
+    return np.all((np.abs(z) < 1.0 - IN_DISK_TOL) & (residuals <= RESIDUAL_TOL), axis=-1)
+
+
+def _companion_rows(dist: IncrementDistribution, us: np.ndarray) -> np.ndarray:
+    """The s in-disk roots at each u of a 1-D array, shape (len(us), s).
 
     One companion solve per u.  A u whose in-disk count is not s, or whose
     roots miss RESIDUAL_TOL, raises KernelRootError naming that u.
@@ -154,16 +156,12 @@ def _companion_rows(dist: IncrementDistribution, us: np.ndarray):
     roots = flat[inside].reshape(len(us), s)
     # deterministic ordering: by real part, then imaginary part
     roots = np.take_along_axis(roots, np.lexsort((roots.imag, roots.real), axis=-1), axis=-1)
-    residuals = np.abs(kernel_eval(dist, np.repeat(us, s), roots.reshape(-1)))
-    residuals = residuals.reshape(roots.shape)
-    bad = np.any(residuals > RESIDUAL_TOL, axis=-1)
+    bad = ~_accepted(dist, us, roots)
     if bad.any():
         k = int(np.argmax(bad))
-        raise KernelRootError(
-            f"root residuals exceed {RESIDUAL_TOL}: {residuals[k].tolist()} "
-            f"at u={us[k].item()!r}"
-        )
-    return roots, residuals
+        res = np.abs(kernel_eval(dist, us[k], roots[k])).tolist()
+        raise KernelRootError(f"root residuals exceed {RESIDUAL_TOL}: {res} at u={us[k].item()!r}")
+    return roots
 
 
 def _kernel_terms(dist, u, z):
@@ -188,9 +186,15 @@ def _certificate(dist, u, z):
 
     P = prod_k (w - z_k) is monic, so the kernel's coefficients divide by
     it from the top in max(s, J) - s + 1 steps of s + 1 terms each; see the
-    module docstring for what eps bounds.
+    module docstring for what eps bounds.  P is expanded in angle order with
+    bit-reversed (van der Corput) indices, whatever order z comes in, so
+    that neighbouring roots, whose product has large coefficients, do not
+    enter in turn.
     """
     n, s = z.shape
+    bits = (s - 1).bit_length()
+    spread = sorted(range(s), key=lambda k: f"{k:0{bits}b}"[::-1])
+    z = np.take_along_axis(z, np.lexsort((np.abs(z), np.angle(z)), axis=-1)[:, spread], axis=-1)
     p = np.zeros((n, s + 1), dtype=complex)  # P, highest power first
     p[:, 0] = 1.0
     for k in range(s):
@@ -202,16 +206,10 @@ def _certificate(dist, u, z):
 
 
 def _gate(dist, u, z, bar):
-    """Which rows of z (n, s) are accepted as the s in-disk roots at u (n,).
-
-    Returns the flags and the residuals |k(z)|.  A row passes if its roots
-    are inside the disk, meet RESIDUAL_TOL, and its certificate is <= bar.
-    """
-    k, _ = _kernel_terms(dist, np.repeat(u, dist.s), z.reshape(-1))
-    residuals = np.abs(k).reshape(z.shape)
-    ok = np.all((np.abs(z) < 1.0 - IN_DISK_TOL) & (residuals <= RESIDUAL_TOL), axis=-1)
+    """Which rows of z (n, s) at u (n,) pass _accepted and certify to eps <= bar."""
+    ok = _accepted(dist, u, z)
     ok[ok] = _certificate(dist, u[ok], z[ok]) <= bar
-    return ok, residuals
+    return ok
 
 
 def _newton(dist, u, z):
@@ -260,8 +258,7 @@ def find_kernel_roots(dist: IncrementDistribution, u) -> RootSet:
         raise ValueError(f"|u| must be < 1, got {float(np.max(np.abs(us)))!r}")
     s = dist.s
     roots = np.empty((len(us), s), dtype=complex)
-    residuals = np.empty((len(us), s))
-    roots[:1], residuals[:1] = _companion_rows(dist, us[:1])
+    roots[:1] = _companion_rows(dist, us[:1])
     rest = us[1:]
     fallback = np.ones(len(rest), dtype=bool)
     if len(rest) and us[0] != 0:
@@ -271,15 +268,13 @@ def find_kernel_roots(dist: IncrementDistribution, u) -> RootSet:
         z, done = z.reshape(len(rest), s), done.reshape(len(rest), s).all(axis=-1)
         z = np.take_along_axis(z, np.lexsort((z.imag, z.real), axis=-1), axis=-1)
         bar = max(ETA, float(_certificate(dist, us[:1], roots[:1])[0]))
-        ok, res = _gate(dist, rest[done], z[done], bar)
-        accepted = np.flatnonzero(done)[ok]
-        roots[1 + accepted], residuals[1 + accepted] = z[accepted], res[ok]
+        accepted = np.flatnonzero(done)[_gate(dist, rest[done], z[done], bar)]
+        roots[1 + accepted] = z[accepted]
         fallback[accepted] = False
     if fallback.any():
         rows = 1 + np.flatnonzero(fallback)
-        roots[rows], residuals[rows] = _companion_rows(dist, rest[fallback])
-    shape = u_arr.shape + (s,)
-    return RootSet(roots=roots.reshape(shape), residuals=residuals.reshape(shape))
+        roots[rows] = _companion_rows(dist, rest[fallback])
+    return RootSet(roots.reshape(u_arr.shape + (s,)))
 
 
 def product_eval(dist: IncrementDistribution, u, z, roots: RootSet):
@@ -314,10 +309,9 @@ def root_logresidue_check(
     Left side: sum_k ln((z - z_k) / (1 - z_k)).  Right side: trapezoidal
     quadrature of (1/2 pi i) oint_{|w|=a} ln((z - w)/(1 - w)) k'(w)/k(w) dw.
     roots are the kernel roots at u; by default find_kernel_roots(dist, u).
-    On the nodes w_j = a exp(2 pi i j / nodes), k(w_j) and w_j k'(w_j) are
-    the unnormalized inverse DFTs of c_i a^i and i c_i a^i, c_i being
-    kernel_coeffs, folded mod nodes when the degree reaches nodes: one
-    batched transform in place of two Horner sums over the circle.
+    On the nodes w_j = a exp(2 pi i j / nodes), k(w_j) and w_j k'(w_j) come
+    from one circle_polyval of c_i a^i and i c_i a^i, c_i being
+    kernel_coeffs, in place of two Horner sums over the circle.
     Returns (lhs, rhs) as real numbers for the caller to compare.
     """
     if not (0.0 < u < 1.0):
@@ -332,10 +326,7 @@ def root_logresidue_check(
     lhs = complex(np.sum(clog((z - roots.roots) / (1.0 - roots.roots))))
     i = np.arange(max(dist.s, dist.j_max) + 1)
     scaled = kernel_coeffs(dist, u) * a**i
-    folded = np.zeros((2, -(-len(i) // nodes) * nodes), dtype=complex)
-    folded[0, : len(i)] = scaled
-    folded[1, : len(i)] = i * scaled
-    kw, wslope = np.fft.ifft(folded.reshape(2, -1, nodes).sum(axis=1), norm="forward")
+    kw, wslope = circle_polyval(np.stack([scaled, i * scaled]), nodes)
     # relative to the term moduli |w|^s + u A(|w|), as A has nonnegative coefficients
     if np.min(np.abs(kw)) < 1e-12 * (a**dist.s + u * pgf_eval(dist, a)):
         raise ValueError("kernel modulus below 1e-12 of its scale on the contour |w| = a")

@@ -620,7 +620,7 @@ class TestRandomizedCrossCheck:
         nz = cli._next_pow2(n_max * d.support_growth + 1)
         z = np.exp(2j * np.pi * np.arange(nz) / nz)
         tracked = rw.find_kernel_roots(d, u)
-        companion = rw.kernel.RootSet(*rw.kernel._companion_rows(d, u))
+        companion = rw.kernel.RootSet(rw.kernel._companion_rows(d, u))
         f_tracked = rw.product_eval(d, u, z, tracked)
         f_companion = rw.product_eval(d, u, z, companion)
         eps_t = rw.kernel._certificate(d, u, tracked.roots)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reflectedwalk._complex import cexp, circle, clog
+from reflectedwalk._complex import cexp, circle, circle_polyval, clog
 
 EPS = np.finfo(float).eps
 
@@ -59,3 +59,26 @@ class TestCircle:
             np.testing.assert_array_equal(
                 _bits(circle(radius, 2 * nodes)[::2].copy()), _bits(circle(radius, nodes))
             )
+
+
+class TestCirclePolyval:
+    @pytest.mark.parametrize("nodes", [16, 64, 256])
+    @pytest.mark.parametrize("degree", [0, 5, 15, 16, 40, 600])
+    def test_matches_the_direct_sum(self, nodes, degree):
+        # degree >= nodes folds the coefficients mod nodes
+        rng = np.random.default_rng(degree + nodes)
+        c = rng.standard_normal((3, degree + 1)) + 1j * rng.standard_normal((3, degree + 1))
+        w = circle(1.0, nodes)
+        direct = c @ w ** np.arange(degree + 1)[:, None]
+        got = circle_polyval(c, nodes)
+        assert got.shape == (3, nodes)
+        scale = np.sum(np.abs(c), axis=-1, keepdims=True)
+        assert np.all(np.abs(got - direct) <= 1e3 * EPS * scale)
+
+    @pytest.mark.parametrize("nodes", [16, 256, 4096])
+    def test_forward_norm_is_scaled_ifft(self, nodes):
+        # the two callers it replaced used N * ifft(x) and ifft(x, norm="forward");
+        # for a power-of-two N they are the same bits
+        rng = np.random.default_rng(nodes)
+        x = rng.standard_normal((2, nodes)) + 1j * rng.standard_normal((2, nodes))
+        np.testing.assert_array_equal(_bits(circle_polyval(x, nodes)), _bits(nodes * np.fft.ifft(x)))

@@ -66,8 +66,22 @@ class TestChooseOuterRadius:
         )
 
     def test_respects_analyticity_radius(self, dists):
+        # the grid reaches past 1 / (1 - p) = 2, the pole of the untruncated
+        # geometric pgf; the truncated polynomial grows like (b / 2)^J there,
+        # so the smallest margin lies below it
         cert = rw.choose_outer_radius(dists["geometric"], 0.75)
         assert cert.b < 2.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_grid_radii_are_inadmissible(self):
+        # geometric(0.05), s = 20, J = 630: A(b) overflows at the top of the
+        # grid, where its ratio is inf; no grid radius is admissible, and b0,
+        # below the untruncated pole 1 / (1 - p), serves
+        d = rw.make_family("geometric", 20, p=0.05)
+        v = cli.u_circle(6)[1]
+        cert = rw.choose_outer_radius(d, v)
+        assert cert.b == ((1.0 - rw.contour.MARGIN_SLACK) / v) ** (0.5 / (d.j_max - d.s))
+        assert 1.0 < cert.b < 1.0 / 0.95
 
     def test_inadmissible_v_rejected(self, simple):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -32,12 +33,30 @@ class TestMakeFamily:
         assert d.j_max == geometric_truncation_order(0.5, 1e-14) == 46
         assert d.truncation_defect <= 1e-14
         assert math.isclose(d.pmf_a.sum(), 1.0, abs_tol=1e-14)
-        assert d.analyticity_radius_hint == 2.0
 
-    def test_poisson_radius_is_infinite(self):
+    def test_poisson_truncation_defect(self):
         d = rw.make_family("poisson", 2, lam=1.2)
-        assert d.analyticity_radius_hint == math.inf
         assert d.truncation_defect <= 1e-14
+
+    @pytest.mark.parametrize("family,kwargs", [
+        ("deterministic", {"c": 0}),
+        ("bernoulli", {"p": 0.5, "c": 3}),
+        ("binomial", {"n": 3, "p": 0.4}),
+        ("poisson", {"lam": 1.2}),
+        ("geometric", {"p": 0.5}),
+        ("explicit", {"probs": [0.5, 0.0, 0.5]}),
+    ])
+    def test_family_is_the_name_given(self, family, kwargs):
+        # the six names of the config grammar; a law is its pmf, s, family
+        # and truncation defect, nothing more
+        d = rw.make_family(family, 1, **kwargs)
+        assert d.family == family
+        assert [f.name for f in dataclasses.fields(d)] == ["s", "pmf_a", "family", "truncation_defect"]
+
+    @pytest.mark.parametrize("family", ["bernoulli-scaled", "poisson-truncated", "geometric-truncated"])
+    def test_long_family_names_are_unknown(self, family):
+        with pytest.raises(ValueError, match="unknown family"):
+            rw.make_family(family, 2, lam=1.2, p=0.5)
 
     @pytest.mark.parametrize(
         "family,kwargs",

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -66,9 +67,7 @@ class TestFindKernelRoots:
         for d in dists.values():
             for u in (0.1, 0.5, 0.9):
                 rs = rw.find_kernel_roots(d, u)
-                assert np.all(rs.residuals <= 1e-10)
-                direct = np.abs(kernel_eval(d, u, rs.roots))
-                np.testing.assert_allclose(rs.residuals, direct, atol=1e-14)
+                assert np.all(np.abs(kernel_eval(d, u, rs.roots)) <= 1e-10)
 
     def test_conjugate_symmetry_for_real_u(self, dists):
         for d in dists.values():
@@ -127,12 +126,10 @@ class TestBatchedRoots:
         # the rows an array call sends to the companion equal their scalar
         # calls, which are companion solves
         d = self.LAWS[law]
-        roots, residuals = kernel._companion_rows(d, self.NODES)
-        assert roots.shape == residuals.shape == (len(self.NODES), d.s)
+        roots = kernel._companion_rows(d, self.NODES)
+        assert roots.shape == (len(self.NODES), d.s)
         for k, u in enumerate(self.NODES):
-            one = rw.find_kernel_roots(d, u)
-            np.testing.assert_array_equal(roots[k], one.roots)
-            np.testing.assert_array_equal(residuals[k], one.residuals)
+            np.testing.assert_array_equal(roots[k], rw.find_kernel_roots(d, u).roots)
         batch = rw.find_kernel_roots(d, self.NODES)
         assert len(batch) == d.s
         assert batch.max_modulus == max(batch.row(k).max_modulus for k in range(len(self.NODES)))
@@ -169,7 +166,7 @@ class TestBatchedRoots:
         eigvals = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals",
                             lambda a: solved.append((a.dtype, a.ndim)) or eigvals(a))
-        roots, _ = kernel._companion_rows(d, us)
+        roots = kernel._companion_rows(d, us)
         assert solved == [(np.float64, 2), (np.complex128, 2)] * 2
         for row, one in zip(roots, expected):
             np.testing.assert_array_equal(row, one)
@@ -240,19 +237,14 @@ class TestTrackKernelRoots:
     @pytest.mark.parametrize("law", sorted(LAWS))
     def test_rows_match_the_companion_as_sets(self, law, nodes):
         d, u = self.LAWS[law], self.ARRAYS[nodes]
-        tracked, (companion, _) = rw.find_kernel_roots(d, u), kernel._companion_rows(d, u)
-        assert tracked.roots.shape == tracked.residuals.shape == (len(u), d.s)
+        tracked, companion = rw.find_kernel_roots(d, u), kernel._companion_rows(d, u)
+        assert tracked.roots.shape == (len(u), d.s)
         for k in range(len(u)):
             _assert_same_sets(tracked.roots[k], companion[k], self.SET_TOL)
             # rows keep the companion rows' order: by real part, then imaginary
             row = tracked.roots[k]
             np.testing.assert_array_equal(row, row[np.lexsort((row.imag, row.real))])
-        # |k(z)| as the gate evaluates it, from a table of powers
-        np.testing.assert_allclose(
-            tracked.residuals, np.abs(kernel_eval(d, u[:, None], tracked.roots)),
-            rtol=0, atol=1e-15,
-        )
-        assert np.all(tracked.residuals <= kernel.RESIDUAL_TOL)
+        assert np.all(np.abs(kernel_eval(d, u[:, None], tracked.roots)) <= kernel.RESIDUAL_TOL)
         assert tracked.max_modulus == np.max(np.abs(tracked.roots))
 
     FALLBACK = {
@@ -269,9 +261,8 @@ class TestTrackKernelRoots:
     def test_fallback_rows_are_the_companion_rows(self, dists, case):
         d, u = self.FALLBACK[case]
         d = dists[d] if isinstance(d, str) else d
-        tracked, (roots, residuals) = rw.find_kernel_roots(d, u), kernel._companion_rows(d, u)
+        tracked, roots = rw.find_kernel_roots(d, u), kernel._companion_rows(d, u)
         np.testing.assert_array_equal(tracked.roots, roots)
-        np.testing.assert_array_equal(tracked.residuals, residuals)
         assert tracked.max_modulus == np.max(np.abs(roots))
 
     ADMITTED = {
@@ -294,7 +285,7 @@ class TestTrackKernelRoots:
         d, fallback = self.ADMITTED[case]
         d = dists[d] if isinstance(d, str) else d
         u = self.ARRAYS["u-circle"]
-        companion, _ = kernel._companion_rows(d, u)
+        companion = kernel._companion_rows(d, u)
         solved = []
         rows = kernel._companion_rows
         monkeypatch.setattr(kernel, "_companion_rows",
@@ -319,7 +310,7 @@ class TestTrackKernelRoots:
             residuals = np.abs(kernel_eval(d, u[1:, None], z))
             assert np.sum(np.all(residuals <= kernel.RESIDUAL_TOL, axis=-1)) >= 14
             bar = max(kernel.ETA, kernel._certificate(d, u[:1], first[None])[0])
-            assert np.all(kernel._gate(d, u[1:], z, bar)[0] == passes)
+            assert np.all(kernel._gate(d, u[1:], z, bar) == passes)
             assert np.all((kernel._certificate(d, u[1:], z) > 1e-6) != passes)
 
     def test_wrong_u_roots_fail_the_certificate(self):
@@ -327,7 +318,7 @@ class TestTrackKernelRoots:
         # have residuals near 1e-11, within RESIDUAL_TOL, yet put F(0.5, 0.3)
         # at 0.576 instead of 1.396; their certificate reads 0.22
         d = rw.make_family("binomial", 99, n=200, p=0.5)
-        wrong, right = kernel._companion_rows(d, np.array([0.25, 0.5]))[0]
+        wrong, right = kernel._companion_rows(d, np.array([0.25, 0.5]))
         u = np.array([0.5, 0.5])
         assert np.all(np.abs(kernel_eval(d, 0.5, wrong)) <= kernel.RESIDUAL_TOL)
         eps_wrong, eps_right = kernel._certificate(d, u, np.array([wrong, right]))
@@ -339,11 +330,59 @@ class TestTrackKernelRoots:
         good = rw.find_kernel_roots(d, 0.4).roots
         z = np.array([good, [good[0], good[0]], [good[0], 1.5]])
         bar = kernel._certificate(d, u[:1], good[None])[0]
-        ok, residuals = kernel._gate(d, u, z, bar)
-        assert ok.tolist() == [True, False, False]
+        assert kernel._gate(d, u, z, bar).tolist() == [True, False, False]
         # the duplicate's residuals pass, its certificate does not
-        assert np.all(residuals[1] <= kernel.RESIDUAL_TOL)
+        assert np.all(np.abs(kernel_eval(d, 0.4, z[1])) <= kernel.RESIDUAL_TOL)
         assert kernel._certificate(d, u[1:2], z[1:2])[0] > 1e-3
+
+    def test_one_predicate_for_companion_and_newton_rows(self, simple, monkeypatch):
+        # simple walk at u = 0.5: the in-disk root 2 - sqrt(3) moved by 1e-9
+        # misses RESIDUAL_TOL, as |k'| = 0.87 there.  A Newton row holding it
+        # fails the gate and goes to the companion; a companion row holding it
+        # raises, and the message lists its residual
+        root = 2.0 - np.sqrt(3.0)
+        u = np.array([0.5, 0.5])
+        z = np.array([[root], [root + 1e-9]])
+        assert kernel._accepted(simple, u, z).tolist() == [True, False]
+        assert kernel._gate(simple, u, z, 1.0).tolist() == [True, False]
+        _fake_eigvals(monkeypatch, [_outer_root(simple, 0.5), root + 1e-9])
+        with pytest.raises(rw.KernelRootError,
+                           match=r"residuals exceed 1e-10: \[8\.66\d*e-10\] at u=0\.5$"):
+            rw.find_kernel_roots(simple, 0.5)
+
+    @pytest.mark.parametrize("law,s,params", [
+        ("geometric", 20, {"p": 0.05}),
+        ("poisson", 50, {"lam": 45.0}),
+        ("binomial", 99, {"n": 200, "p": 0.5}),
+    ])
+    def test_certificate_ignores_the_order_of_its_roots(self, law, s, params):
+        # _certificate expands P in its own order, so a shuffled row reads the
+        # same bits.  Expanded in the companion rows' lexsorted order, these
+        # roots at u = r read 2.0e-12, 2.6e-11 and 3.9e-10: the rounding of
+        # the expansion, not the roots
+        d = rw.make_family(law, s, **params)
+        u = self.ARRAYS["u-circle"][:1]
+        z = kernel._companion_rows(d, u)
+        eps = kernel._certificate(d, u, z)
+        assert eps[0] <= 1e-12
+        rng = np.random.default_rng(s)
+        for order in (rng.permutation(s), np.arange(s)[::-1]):
+            np.testing.assert_array_equal(kernel._certificate(d, u, z[:, order]), eps)
+
+    def test_one_companion_solve_on_a_large_support(self, monkeypatch):
+        # geometric(0.05), s = 20, J = 630 on the run's circle: with eps_0 the
+        # certificate of the roots rather than of the expansion's rounding,
+        # every Newton row passes the gate (5 rows fell back when P was
+        # expanded in lexsorted order)
+        d = rw.make_family("geometric", 20, p=0.05)
+        u = self.ARRAYS["u-circle"]
+        solved = []
+        rows = kernel._companion_rows
+        monkeypatch.setattr(kernel, "_companion_rows",
+                            lambda d, u: solved.append(np.size(u)) or rows(d, u))
+        rs = rw.find_kernel_roots(d, u)
+        assert solved == [1]
+        assert np.max(kernel._certificate(d, u, rs.roots)) <= 1e-12
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_seed_outside_the_band_is_not_evaluated(self):
@@ -368,15 +407,15 @@ class TestTrackKernelRoots:
         d = dists["poisson"]
         u = self.ARRAYS["checks"]
         rs = rw.find_kernel_roots(d, u)
+        # a root set is its roots
+        assert [f.name for f in dataclasses.fields(rs)] == ["roots"]
         for k in range(len(u)):
             row = rs.row(k)
             np.testing.assert_array_equal(row.roots, rs.roots[k])
-            np.testing.assert_array_equal(row.residuals, rs.residuals[k])
             assert row.max_modulus == np.max(np.abs(rs.roots[k]))
         # u[0] is a companion row: the scalar call's, to the bit
         one = rw.find_kernel_roots(d, u[0])
         np.testing.assert_array_equal(rs.row(0).roots, one.roots)
-        np.testing.assert_array_equal(rs.row(0).residuals, one.residuals)
         assert rs.row(0).max_modulus == one.max_modulus
 
 

@@ -146,7 +146,7 @@ class TestNumeratorCheck:
         roots = rw.find_kernel_roots(d, us)
         moved = roots.roots.copy()
         moved[0, 0] += 1e-6
-        bad = RootSet(moved, roots.residuals)
+        bad = RootSet(moved)
         assert rw.numerator_check(d, us, roots) <= 1e-9
         assert rw.numerator_check(d, us, bad) > 1e-9
 

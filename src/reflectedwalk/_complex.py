@@ -45,6 +45,11 @@ def cexp(x) -> np.ndarray:
     return out
 
 
+def next_pow2(n: int) -> int:
+    """The smallest power of two >= max(16, n)."""
+    return max(16, 1 << (n - 1).bit_length())
+
+
 def circle(radius: float, nodes: int) -> np.ndarray:
     """The nodes radius exp(2 pi i k / nodes), k = 0 .. nodes - 1, in order."""
     return radius * cexp(2j * np.pi * np.arange(nodes) / nodes)

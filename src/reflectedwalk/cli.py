@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import contour, dist as dist_mod, kernel, oracle, series
-from ._complex import cexp, circle
+from ._complex import cexp, circle, next_pow2
 
 DEFAULT_METHODS = ("dp",)
 ALL_METHODS = ("dp", "spitzer", "product", "pollaczek")
@@ -183,11 +183,6 @@ def load_config(path: str) -> RunConfig:
     return parse_config(text)
 
 
-def _next_pow2(n: int) -> int:
-    """The smallest power of two >= max(16, n)."""
-    return max(16, 1 << (n - 1).bit_length())
-
-
 def u_circle(n_max: int) -> tuple:
     """Node count nu and radius r of the u circle that inverts rows n <= n_max.
 
@@ -200,7 +195,7 @@ def u_circle(n_max: int) -> tuple:
     7.5e-12 at 60, 1.0e-11 at 200, and at most 1.9e-11 up to 200 (at 127,
     before nu doubles).
     """
-    nu = _next_pow2(4 * (n_max + 1))
+    nu = next_pow2(4 * (n_max + 1))
     return nu, kernel.ETA ** (1.0 / (nu + n_max))
 
 
@@ -242,7 +237,7 @@ def _invert_transform(evaluator, d, cfg: RunConfig) -> np.ndarray:
     """
     n_max, m_max = cfg.n_max, cfg.m_max
     nu, r_u = u_circle(n_max)
-    nz = _next_pow2(max(n_max * d.support_growth, m_max) + 1)
+    nz = next_pow2(max(n_max * d.support_growth, m_max) + 1)
     half = nu // 2
     u_nodes = circle(r_u, nu)[: half + 1]
     z_nodes = circle(1.0, nz)
@@ -324,7 +319,7 @@ def _structural_checks(d, dp_table, cert) -> list:
         d, us, roots, CHECK_TOL["numerator"])))
     # Cauchy coefficient identity on a small (l, k) grid, from one transform
     integral, pmf = contour.verify_coeff_identity(
-        d, np.array([1, 2, 4]), np.array([1, 3]), cert, contour.CircleQuadrature()
+        d, np.array([1, 2, 4]), np.array([1, 3]), cert
     )
     checks.append(_checked("coefficient-identity", float(np.max(np.abs(integral - pmf)))))
     # logarithmic residue of the kernel at u = 0.5, on radii between the

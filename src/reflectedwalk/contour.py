@@ -1,12 +1,13 @@
 """Circle-contour quadrature: Pollaczek integral and Cauchy coefficients.
 
 All integrals run over circles on a uniform angular grid.  The trapezoidal
-rule there is the FFT, and it converges geometrically for integrands
-analytic in an annulus around the contour.  One helper, ``_circle_fft``,
-turns circle samples into coefficients: it doubles the node count until
-two successive spectra agree to tolerance, by a gap each caller defines.
-It transforms a batch of functions at once, one row each, and each row
-stops doubling at its own first converged node count.
+rule there is the FFT: entry n of fft(f) / N on the N nodes of |w| = r is
+r^n times the n-th Laurent coefficient of f plus its aliases at n +- N.
+For a polynomial of degree below N there are no aliases, and the rule is
+Cauchy's formula exactly, so the coefficient identity takes one transform
+of a length fixed by the degree.  The Pollaczek log kernel is no
+polynomial: its plus part doubles N until successive spectra agree, and it
+is the one adaptive loop here.
 
 The Pollaczek exponent is the Wiener-Hopf plus part of
 L(w) = ln(1 - u A(w)/w^s) on |w| = b: with L = sum_k c_k w^k there,
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._complex import cexp, circle, circle_polyval, clog
+from ._complex import cexp, circle, circle_polyval, clog, next_pow2
 from .dist import IncrementDistribution, pgf_eval, walk_pmfs
 
 OUTER_RADIUS_CAP = 8.0
@@ -50,7 +51,7 @@ class RadiusSearchError(RuntimeError):
 
 @dataclass(frozen=True)
 class CircleQuadrature:
-    """FFT-with-doubling settings for one circular contour."""
+    """Doubling settings of the Pollaczek plus-part FFT on |w| = b."""
 
     nodes: int = 256
     max_doublings: int = 12
@@ -115,82 +116,24 @@ def choose_outer_radius(dist: IncrementDistribution, v: float) -> RadiusCertific
     return RadiusCertificate(b=b, v=v, margin=margin)
 
 
-def _circle_fft(f, r: float, quad: CircleQuadrature, gap, rows: int = 1) -> list:
-    """Spectra fft(f(w)) / nodes of `rows` functions on w_j = r exp(2 pi i j / nodes).
-
-    f(w, live) samples the rows `live` (an index array) at the nodes w, as
-    a (len(live), nodes) array.  Entry n of a spectrum is the trapezoid
-    value of (1/2 pi i) oint f(w) (r/w)^n dw/w, that is r^n times the n-th
-    Laurent coefficient of f plus its aliases at n +- nodes.  The node
-    count doubles from quad.nodes; gap(cur, prev, live) compares two
-    successive spectra of the live rows and returns one gap per row.  Each
-    row keeps its spectrum from the first doubling at which its own gap <
-    quad.tol and is not sampled again.  circle(r, 2N)[::2] is circle(r, N) to the
-    bit, so a doubling samples only the N new odd nodes and interleaves
-    them with the samples it holds: a row that stops at N nodes has been
-    sampled at N nodes.  Returns the spectra, one 1-D array per row.
-    """
-    nodes = quad.nodes
-    live = np.arange(rows)
-    spectra = [None] * rows
-    samples = f(circle(r, nodes), live)
-    prev = np.fft.fft(samples) / nodes
-    for _ in range(quad.max_doublings):
-        nodes *= 2
-        odd = f(circle(r, nodes)[1::2], live)
-        both = np.empty((len(live), nodes), dtype=np.result_type(samples, odd))
-        both[:, ::2], both[:, 1::2] = samples, odd
-        samples = both
-        cur = np.fft.fft(samples) / nodes
-        last = gap(cur, prev, live)
-        done = last < quad.tol
-        for k, spectrum in zip(live[done].tolist(), cur[done]):
-            spectra[k] = spectrum
-        live, samples, prev, last = live[~done], samples[~done], cur[~done], last[~done]
-        if live.size == 0:
-            return spectra
-    raise QuadratureError(
-        f"no convergence after {quad.max_doublings} doublings "
-        f"(last gap {float(last[0])!r} at {nodes} nodes, tol {quad.tol!r})"
-    )
-
-
-def _cauchy_rows(f, n: np.ndarray, r: float, quad: CircleQuadrature) -> np.ndarray:
-    """Coefficient n[i, j] of row i of f on |w| = r, every row from one transform.
-
-    f(w, live) samples the rows `live` as _circle_fft's f does; n is a 2-D
-    int array, one row of indices per row of f.  Row i doubles its node
-    count until none of its n[i] moves by quad.tol, so it reads the same
-    bits as a transform of row i alone.  Returns a complex array shaped
-    like n.
-    """
-    scale = float(r) ** -n
-
-    def read(spectra, rows):
-        at = n[rows] % spectra.shape[-1]
-        return np.take_along_axis(spectra, at, axis=-1) * scale[rows]
-
-    def gap(cur, prev, live):
-        return np.max(np.abs(read(cur, live) - read(prev, live)), axis=-1)
-
-    spectra = _circle_fft(f, r, quad, gap, rows=len(n))
-    return np.concatenate([read(x[None], [i]) for i, x in enumerate(spectra)])
-
-
 def _plus_part(dist, u: np.ndarray, cert, quad, rho: float) -> np.ndarray:
     """Scaled plus-part coefficients a_k = c_k b^k, k < nodes / 2, a_0 = 0.
 
-    Row i is for u[i], a 1-D array; rows that converged at fewer nodes
-    than the widest are padded with zeros.  The first half of the
-    spectrum of L(w) = ln(1 - u A(w)/w^s) on |w| = b holds the nonnegative
-    Laurent indices.  A row's node count doubles until sum_k |Delta a_k|
-    (b^-k + (rho/b)^k) < tol, which bounds the change of E(z) = sum_k c_k
-    (1 - z^k) at every |z| <= rho.
+    Row i is for u[i], a 1-D array.  The first half of the spectrum
+    fft(L) / nodes of L(w) = ln(1 - u A(w)/w^s) on the nodes of |w| = b
+    holds the nonnegative Laurent indices, each times b^k.  The node count
+    doubles from quad.nodes, and row i keeps the first spectrum at which
+    sum_k |Delta a_k| (b^-k + (rho/b)^k) < quad.tol, which bounds the
+    change of E(z) = sum_k c_k (1 - z^k) at every |z| <= rho; rows that
+    converged at fewer nodes than the widest are padded with zeros.
+    circle(b, 2N)[::2] is circle(b, N) to the bit, so a doubling samples
+    only the N new odd nodes of the live rows and interleaves them with
+    the samples it holds: a row that stops at N nodes has been sampled at
+    N nodes, and A(w) and w^s serve every live row at each count.
     """
     b = cert.b
 
     def log_kernel(w, live):
-        # A(w) and w^s serve every u at this node count
         log_arg = 1.0 - u[live, None] * pgf_eval(dist, w) / w**dist.s
         if np.any(log_arg.real <= 0.0):
             raise QuadratureError(
@@ -198,27 +141,46 @@ def _plus_part(dist, u: np.ndarray, cert, quad, rho: float) -> np.ndarray:
             )
         return clog(log_arg)
 
-    def plus(spectrum):
-        a = spectrum[..., : spectrum.shape[-1] // 2].copy()
-        a[..., 0] = 0.0
+    def plus(samples):
+        nodes = samples.shape[-1]
+        a = (np.fft.fft(samples) / nodes)[:, : nodes // 2]
+        a[:, 0] = 0.0
         return a
 
-    def gap(cur, prev, live):
-        diff = plus(cur)
-        diff[:, : prev.shape[-1] // 2] -= plus(prev)
-        k = np.arange(diff.shape[-1])
-        return np.sum(np.abs(diff) * (b ** -k + (rho / b) ** k), axis=-1)
-
-    spectra = _circle_fft(log_kernel, b, quad, gap, rows=len(u))
-    a = np.zeros((len(u), max(len(x) for x in spectra) // 2), dtype=complex)
-    for row, spectrum in zip(a, spectra):
-        row[: len(spectrum) // 2] = plus(spectrum)
-    return a
+    nodes = quad.nodes
+    live = np.arange(len(u))
+    rows = [None] * len(u)
+    samples = log_kernel(circle(b, nodes), live)
+    prev = plus(samples)
+    for _ in range(quad.max_doublings):
+        nodes *= 2
+        odd = log_kernel(circle(b, nodes)[1::2], live)
+        both = np.empty((len(live), nodes), dtype=complex)
+        both[:, ::2], both[:, 1::2] = samples, odd
+        samples = both
+        cur = plus(samples)
+        diff = cur.copy()
+        diff[:, : prev.shape[-1]] -= prev
+        k = np.arange(nodes // 2)
+        last = np.sum(np.abs(diff) * (b ** -k + (rho / b) ** k), axis=-1)
+        done = last < quad.tol
+        for i, row in zip(live[done].tolist(), cur[done]):
+            rows[i] = row
+        live, samples, prev, last = live[~done], samples[~done], cur[~done], last[~done]
+        if live.size == 0:
+            a = np.zeros((len(u), max(len(row) for row in rows)), dtype=complex)
+            for padded, row in zip(a, rows):
+                padded[: len(row)] = row
+            return a
+    raise QuadratureError(
+        f"no convergence after {quad.max_doublings} doublings "
+        f"(last gap {float(last[0])!r} at {nodes} nodes, tol {quad.tol!r})"
+    )
 
 
 def _check_u(u, cert: RadiusCertificate):
     top = float(np.max(np.abs(u)))
-    if top > cert.v * (1.0 + 1e-12):
+    if not top <= cert.v * (1.0 + 1e-12):
         raise ValueError(f"|u| = {top} exceeds the certificate cap v = {cert.v}")
 
 
@@ -239,7 +201,7 @@ def pollaczek_eval(
     """
     _check_u(u, cert)
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    if np.any(np.abs(z_arr) > cert.b - 1e-6):
+    if not np.all(np.abs(z_arr) <= cert.b - 1e-6):
         raise ValueError(f"|z| must be <= b - 1e-6 with b = {cert.b}")
     rho = max(1.0, float(np.max(np.abs(z_arr))))
     a = _plus_part(dist, np.array([u]), cert, quad, rho)[0]
@@ -277,37 +239,35 @@ def pollaczek_unit_grid(
     return values * np.expand_dims(1.0 / (1.0 - u), -1)
 
 
-def verify_coeff_identity(
-    dist: IncrementDistribution,
-    l,
-    k,
-    cert: RadiusCertificate,
-    quad: CircleQuadrature,
-):
+def verify_coeff_identity(dist: IncrementDistribution, l, k, cert: RadiusCertificate):
     """Cauchy extraction of [w^{k+sl}] A(w)^l against the exact pmf of S_l.
 
-    l and k are ints or 1-D int arrays.  The whole (l, k) grid is read from
-    one batched transform on |w| = b, one row A(w)^l per l, each row
-    doubling until its own k + s l stop moving, so every row reads the same
-    bits as a transform of its l alone.  The pmfs of S_1 .. S_max(l) come
-    from one pass of walk_pmfs.  Returns (integral, pmf) for the caller to
+    l and k are ints or 1-D int arrays.  A(w)^l is a polynomial of degree
+    l J, so the trapezoid rule on N > max(l J, k + s l) nodes of |w| = b is
+    Cauchy's formula exactly, without aliases: the whole (l, k) grid is one
+    FFT of N nodes, one row A(w)^l per l, with A(w) on the circle from one
+    circle_polyval of the scaled pmf p_j b^j.  The pmfs of S_1 .. S_max(l)
+    come from one pass of walk_pmfs, whose SUPPORT_CAP guard runs before
+    the transform is allocated.  Returns (integral, pmf) for the caller to
     compare, each shaped l.shape + k.shape: two floats for scalar l and k.
     """
     l_arr, k_arr = np.asarray(l), np.asarray(k)
     ls = l_arr.reshape(-1)
     if np.any(ls < 1) or np.any(k_arr < 1):
         raise ValueError("l and k must be >= 1")
+    l_max = int(ls.max())
     idx = k_arr.reshape(1, -1) + dist.s * ls[:, None]
-    integral = _cauchy_rows(
-        lambda w, live: pgf_eval(dist, w) ** ls[live, None], idx, cert.b, quad
-    ).real
     # P(S_l = k) = 0 above the support: clamp those k to an appended zero
     laws = {}
-    for j, probs in enumerate(walk_pmfs(dist, int(ls.max())), start=1):
+    for j, probs in enumerate(walk_pmfs(dist, l_max), start=1):
         if j in ls:
             laws[j] = np.append(probs, 0.0)
     pmf = np.array([laws[j][np.minimum(at, len(laws[j]) - 1)]
                     for j, at in zip(ls.tolist(), idx)])
+    nodes = next_pow2(max(l_max * dist.j_max, int(idx.max())) + 1)
+    scaled = dist.pmf_a * cert.b ** np.arange(len(dist.pmf_a))
+    spectra = np.fft.fft(circle_polyval(scaled, nodes) ** ls[:, None]) / nodes
+    integral = np.take_along_axis(spectra, idx, axis=-1).real * cert.b ** -idx
     shape = l_arr.shape + k_arr.shape
     if not shape:
         return float(integral[0, 0]), float(pmf[0, 0])

@@ -119,13 +119,12 @@ def test_criterion_3_pollaczek_vs_product(dists, simple):
 
 
 def test_criterion_4_coefficient_identity(dists):
-    quad = rw.CircleQuadrature()
     worst = 0.0
     for name, d in dists.items():
         cert = rw.choose_outer_radius(d, V_CAP)
         for l in range(1, 21):
             for k in range(1, 21):
-                integral, pmf = rw.verify_coeff_identity(d, l, k, cert, quad)
+                integral, pmf = rw.verify_coeff_identity(d, l, k, cert)
                 err = abs(integral - pmf)
                 assert err <= 1e-10, (name, l, k, err)
                 worst = max(worst, err)

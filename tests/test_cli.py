@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import reflectedwalk as rw
 from reflectedwalk import cli
+from reflectedwalk._complex import next_pow2
 
 SIMPLE_CONFIG = """\
 # simple symmetric walk
@@ -191,7 +192,7 @@ class TestHalfCircle:
     def _full_circle(evaluator, d, cfg):
         # the reference: every u node evaluated, no symmetry used
         nu, r = cli.u_circle(cfg.n_max)
-        nz = cli._next_pow2(max(cfg.n_max * d.support_growth, cfg.m_max) + 1)
+        nz = next_pow2(max(cfg.n_max * d.support_growth, cfg.m_max) + 1)
         u_nodes = r * np.exp(2j * np.pi * np.arange(nu) / nu)
         z_nodes = np.exp(2j * np.pi * np.arange(nz) / nz)
         samples = evaluator(u_nodes, z_nodes)
@@ -617,7 +618,7 @@ class TestRandomizedCrossCheck:
         n_max = 4
         nu, r = cli.u_circle(n_max)
         u = r * np.exp(2j * np.pi * np.arange(nu // 2 + 1) / nu)
-        nz = cli._next_pow2(n_max * d.support_growth + 1)
+        nz = next_pow2(n_max * d.support_growth + 1)
         z = np.exp(2j * np.pi * np.arange(nz) / nz)
         tracked = rw.find_kernel_roots(d, u)
         companion = rw.kernel.RootSet(rw.kernel._companion_rows(d, u))

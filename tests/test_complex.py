@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reflectedwalk._complex import cexp, circle, circle_polyval, clog
+from reflectedwalk._complex import cexp, circle, circle_polyval, clog, next_pow2
 
 EPS = np.finfo(float).eps
 
@@ -53,12 +53,18 @@ class TestCircle:
 
     @pytest.mark.parametrize("nodes", [16, 256, 512, 1024, 2048])
     def test_even_nodes_of_the_doubled_circle(self, nodes):
-        # contour._circle_fft keeps the samples at circle(r, N) as the even
-        # samples at circle(r, 2N), and evaluates only the odd nodes
+        # the Pollaczek plus part keeps the samples at circle(r, N) as the
+        # even samples at circle(r, 2N), and evaluates only the odd nodes
         for radius in (1.0, 0.4028, 1.37):
             np.testing.assert_array_equal(
                 _bits(circle(radius, 2 * nodes)[::2].copy()), _bits(circle(radius, nodes))
             )
+
+
+class TestNextPow2:
+    @pytest.mark.parametrize("n,want", [(1, 16), (16, 16), (17, 32), (1024, 1024), (1025, 2048)])
+    def test_smallest_power_of_two_from_16(self, n, want):
+        assert next_pow2(n) == want
 
 
 class TestCirclePolyval:

@@ -1,4 +1,5 @@
 import cmath
+import time
 
 import numpy as np
 import pytest
@@ -7,12 +8,10 @@ from hypothesis import strategies as st
 
 import reflectedwalk as rw
 from reflectedwalk import cli
-from reflectedwalk._complex import circle
+from reflectedwalk._complex import circle, clog
 from reflectedwalk.contour import (
     QuadratureError,
     RadiusSearchError,
-    _cauchy_rows,
-    _circle_fft,
     _plus_part,
     pollaczek_unit_grid,
 )
@@ -20,6 +19,7 @@ from reflectedwalk.contour import (
 from conftest import standard_distributions
 
 STANDARD = standard_distributions()
+EPS = np.finfo(float).eps
 
 
 @pytest.fixture(scope="module")
@@ -112,90 +112,6 @@ class TestChooseOuterRadius:
             rw.choose_outer_radius(simple, cli.u_circle(4096)[1])
 
 
-class TestCircleFFT:
-    @staticmethod
-    def _rows(w):
-        # a cubic, exact at any node count, and 1/(1 - 0.95 w), whose aliases
-        # fall by 0.95^N
-        return np.stack([w**3 + 0.5 * w, 1.0 / (1.0 - 0.95 * w)])
-
-    def test_each_node_is_sampled_once(self):
-        # from 256 nodes the cubic stops at 512 and the other row doubles on:
-        # each row is sampled at as many nodes as its spectrum has, and the
-        # spectrum is one full transform at that count, to the bit
-        sampled = np.zeros(2, dtype=int)
-
-        def f(w, live):
-            sampled[live] += w.size
-            return self._rows(w)[live]
-
-        def gap(cur, prev, live):
-            return np.max(np.abs(cur[:, :16] - prev[:, :16]), axis=-1)
-
-        spectra = _circle_fft(f, 1.0, rw.CircleQuadrature(), gap, rows=2)
-        assert len(spectra[0]) == 512 < len(spectra[1])
-        assert sampled.tolist() == [len(x) for x in spectra]
-        for k, spectrum in enumerate(spectra):
-            nodes = len(spectrum)
-            full = np.fft.fft(self._rows(circle(1.0, nodes))[k]) / nodes
-            np.testing.assert_array_equal(spectrum, full)
-
-
-def _coeffs(f, n, r, quad):
-    """Coefficients n (an int or a 1-D int array) of one function f(w) by _cauchy_rows."""
-    row = _cauchy_rows(lambda w, live: f(w)[None], np.reshape(n, (1, -1)), r, quad)[0]
-    return complex(row[0]) if np.ndim(n) == 0 else row
-
-
-class TestCauchyCoeff:
-    def test_constant(self, quad):
-        assert _coeffs(lambda w: np.full_like(w, 3.5), 0, 1.0, quad) == pytest.approx(3.5)
-
-    def test_monomial(self, quad):
-        assert _coeffs(lambda w: w**2, 2, 1.0, quad) == pytest.approx(1.0)
-        assert _coeffs(lambda w: w**2, 1, 1.0, quad) == pytest.approx(0.0, abs=1e-13)
-
-    def test_polynomial_exactness(self, quad):
-        rng = np.random.default_rng(3)
-        coeffs = rng.uniform(-1, 1, 40)
-        f = lambda w: np.polyval(coeffs[::-1], w)
-        n = np.array([0, 7, 39])
-        for got, want in zip(_coeffs(f, n, 1.0, quad), coeffs[n]):
-            assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
-        for m in n.tolist():
-            got = _coeffs(f, m, 1.0, quad)
-            assert abs(got - coeffs[m]) <= 1e-13 * max(1.0, abs(coeffs[m]))
-
-    def test_rows_read_as_alone(self, quad):
-        # a polynomial row converges at 512 nodes, 1 / (1 - 0.95 w) doubles
-        # on: each row of one batched extraction reads the bits of its own
-        coeffs = np.random.default_rng(5).uniform(-1, 1, 40)
-        rows = [lambda w: np.polyval(coeffs[::-1], w), lambda w: 1.0 / (1.0 - 0.95 * w)]
-        n = np.array([[1, 7, 39], [0, 2, 30]])
-        got = _cauchy_rows(
-            lambda w, live: np.stack([rows[k](w) for k in live.tolist()]), n, 1.0, quad
-        )
-        for k, f in enumerate(rows):
-            np.testing.assert_array_equal(got[k], _coeffs(f, n[k], 1.0, quad))
-        np.testing.assert_allclose(got[0].real, coeffs[n[0]], atol=1e-13)
-        np.testing.assert_allclose(got[1].real, 0.95 ** n[1], atol=1e-12)
-
-    def test_transform_inversion_recovers_probability(self, simple):
-        # [u^2] F(u, 0) = P(M_2 = 0) = 1/2
-        quad = rw.CircleQuadrature()
-
-        def f(us):
-            out = []
-            for u in us:
-                roots = rw.find_kernel_roots(simple, u)
-                out.append(rw.product_eval(simple, u, 0.0, roots))
-            return np.array(out)
-
-        got = _coeffs(f, 2, 0.5, quad)
-        assert got.real == pytest.approx(0.5, abs=1e-11)
-        assert abs(got.imag) <= 1e-11
-
-
 class TestPollaczekEval:
     def test_u_zero_gives_one(self, dists, quad):
         for d in dists.values():
@@ -222,6 +138,16 @@ class TestPollaczekEval:
             rw.pollaczek_eval(simple, 0.7, 0.5, cert, quad)
         with pytest.raises(ValueError, match="b"):
             rw.pollaczek_eval(simple, 0.3, cert.b + 1.0, cert, quad)
+
+    @pytest.mark.parametrize("u,z,match", [(np.nan, 0.5, "cap"), (0.3, np.nan, "b")])
+    def test_nan_rejected_at_once(self, simple, quad, u, z, match):
+        # a nan u would double the plus part to its last node count, a nan z
+        # would return nan: each range check must reject it
+        cert = rw.choose_outer_radius(simple, 0.5)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=match):
+            rw.pollaczek_eval(simple, u, z, cert, quad)
+        assert time.perf_counter() - start < 1.0
 
     def test_non_convergence_reported(self, simple):
         cert = rw.choose_outer_radius(simple, 0.75)
@@ -350,6 +276,35 @@ class TestBatchedPlusPart:
         with pytest.raises(QuadratureError, match="doubling"):
             pollaczek_unit_grid(simple, np.array([0.0, 0.6]), 64, cert, starved)
 
+    def test_each_node_is_sampled_once(self, simple, monkeypatch):
+        # from 16 nodes, u = 0 stops at the first doubling and u = 0.6
+        # doubles on; A(w) is taken once per node count for every live row,
+        # at the new odd nodes only, so its points add up to the widest
+        # row's node count, and that row is one full transform at that
+        # count, to the bit
+        cert = rw.choose_outer_radius(simple, 0.75)
+        points = []
+        pgf = rw.contour.pgf_eval
+        monkeypatch.setattr(
+            rw.contour, "pgf_eval", lambda d, w: points.append(w.size) or pgf(d, w)
+        )
+        quad = rw.CircleQuadrature(nodes=16)
+        a = _plus_part(simple, np.array([0.0, 0.6]), cert, quad, 1.0)
+        assert len(points) > 2
+        assert sum(points) == 2 * a.shape[-1]
+        assert not np.any(a[0])
+        w = circle(cert.b, 2 * a.shape[-1])
+        full = np.fft.fft(clog(1.0 - 0.6 * pgf(simple, w) / w**simple.s)) / w.size
+        full[0] = 0.0
+        np.testing.assert_array_equal(a[1], full[: a.shape[-1]])
+
+    def test_nan_u_rejected_at_once(self, simple, quad):
+        cert = rw.choose_outer_radius(simple, 0.5)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="cap"):
+            pollaczek_unit_grid(simple, np.array([0.1, np.nan]), 32, cert, quad)
+        assert time.perf_counter() - start < 1.0
+
     def test_cap_checked_for_every_u(self, simple, quad):
         cert = rw.choose_outer_radius(simple, 0.5)
         with pytest.raises(ValueError, match="cap"):
@@ -357,62 +312,89 @@ class TestBatchedPlusPart:
 
 
 class TestVerifyCoeffIdentity:
-    def test_degenerate_zero(self, dists, quad):
+    def test_degenerate_zero(self, dists):
         d = dists["a-equals-s"]  # S_l identically 0
         cert = rw.choose_outer_radius(d, 0.75)
-        integral, pmf = rw.verify_coeff_identity(d, 3, 1, cert, quad)
+        integral, pmf = rw.verify_coeff_identity(d, 3, 1, cert)
         assert pmf == 0.0
         assert abs(integral) <= 1e-12
 
-    def test_simple_walk_two_up_steps(self, simple, quad):
+    def test_index_past_the_degree_does_not_alias(self, dists):
+        # A(w)^1 = w^2 has degree 2; k + s l = 42 is read on N > 42 nodes,
+        # where no alias of w^2 lands
+        d = dists["a-equals-s"]
+        cert = rw.choose_outer_radius(d, 0.75)
+        integral, pmf = rw.verify_coeff_identity(d, 1, 40, cert)
+        assert pmf == 0.0
+        assert abs(integral) <= 1e-15
+
+    def test_large_support_on_the_run_grid(self):
+        # geometric(0.05), s = 20: J = 630, A(w)^4 of degree 2520, one FFT
+        d = rw.make_family("geometric", 20, p=0.05)
+        cert = rw.choose_outer_radius(d, cli.u_circle(6)[1])
+        ls, ks = np.array([1, 2, 4]), np.array([1, 3])
+        integrals, pmfs = rw.verify_coeff_identity(d, ls, ks, cert)
+        assert np.all(pmfs > 0.0)
+        assert np.max(np.abs(integrals - pmfs)) <= 1e-15
+
+    def test_support_cap_fires_before_the_transform(self, simple, monkeypatch):
         cert = rw.choose_outer_radius(simple, 0.75)
-        integral, pmf = rw.verify_coeff_identity(simple, 2, 2, cert, quad)
+        monkeypatch.setattr(rw.dist, "SUPPORT_CAP", 10)
+        monkeypatch.setattr(rw.contour, "circle_polyval", None)
+        with pytest.raises(ValueError, match="exceeds cap 10"):
+            rw.verify_coeff_identity(simple, 50, 1, cert)
+
+    def test_simple_walk_two_up_steps(self, simple):
+        cert = rw.choose_outer_radius(simple, 0.75)
+        integral, pmf = rw.verify_coeff_identity(simple, 2, 2, cert)
         assert pmf == pytest.approx(0.25)
         assert integral == pytest.approx(0.25, abs=1e-12)
 
-    def test_geometric_direct_lookup(self, dists, quad):
+    def test_geometric_direct_lookup(self, dists):
         d = dists["geometric"]
         cert = rw.choose_outer_radius(d, 0.75)
-        integral, pmf = rw.verify_coeff_identity(d, 1, 1, cert, quad)
+        integral, pmf = rw.verify_coeff_identity(d, 1, 1, cert)
         assert pmf == pytest.approx(0.125, abs=1e-13)
         assert integral == pytest.approx(pmf, abs=1e-12)
 
-    def test_grid_agreement(self, dists, quad):
+    def test_grid_agreement(self, dists):
         ks = np.array([1, 4, 9])
         for d in dists.values():
             cert = rw.choose_outer_radius(d, 0.75)
             for l in (1, 3, 7):
-                scalar = [rw.verify_coeff_identity(d, l, k, cert, quad) for k in ks]
+                scalar = [rw.verify_coeff_identity(d, l, k, cert) for k in ks]
                 for integral, pmf in scalar:
-                    assert abs(integral - pmf) <= 1e-10
-                # one transform for every k reads the same coefficients
-                integrals, pmfs = rw.verify_coeff_identity(d, l, ks, cert, quad)
+                    assert abs(integral - pmf) <= 1e-15
+                # one transform for every k reads the same pmfs, and its
+                # coefficients to within an eps: N grows with the largest k
+                integrals, pmfs = rw.verify_coeff_identity(d, l, ks, cert)
                 np.testing.assert_array_equal(pmfs, [pmf for _, pmf in scalar])
-                np.testing.assert_array_equal(integrals, [i for i, _ in scalar])
+                assert np.max(np.abs(integrals - [i for i, _ in scalar])) <= EPS
 
     @pytest.mark.parametrize("law", sorted(STANDARD))
-    def test_l_grid_agreement(self, law, quad):
-        # one transform for every (l, k) reads the same bits as one per l,
-        # the run's grid l = 1, 2, 4 included
+    def test_l_grid_agreement(self, law):
+        # one transform for every (l, k) agrees with one per l, the run's
+        # grid l = 1, 2, 4 included, to within an eps
         d = STANDARD[law]
         cert = rw.choose_outer_radius(d, 0.75)
         ks = np.array([1, 3, 9])
         for ls in (np.array([1, 2, 4]), np.array([7, 3, 1, 3])):
-            integrals, pmfs = rw.verify_coeff_identity(d, ls, ks, cert, quad)
+            integrals, pmfs = rw.verify_coeff_identity(d, ls, ks, cert)
             assert integrals.shape == pmfs.shape == (len(ls), len(ks))
+            assert np.max(np.abs(integrals - pmfs)) <= 1e-15
             for row, l in enumerate(ls.tolist()):
-                integral, pmf = rw.verify_coeff_identity(d, l, ks, cert, quad)
-                np.testing.assert_array_equal(integrals[row], integral)
+                integral, pmf = rw.verify_coeff_identity(d, l, ks, cert)
+                assert np.max(np.abs(integrals[row] - integral)) <= EPS
                 np.testing.assert_array_equal(pmfs[row], pmf)
 
-    def test_l_array_with_scalar_k(self, simple, quad):
+    def test_l_array_with_scalar_k(self, simple):
         cert = rw.choose_outer_radius(simple, 0.75)
-        integrals, pmfs = rw.verify_coeff_identity(simple, np.array([1, 2]), 1, cert, quad)
+        integrals, pmfs = rw.verify_coeff_identity(simple, np.array([1, 2]), 1, cert)
         assert integrals.shape == pmfs.shape == (2,)
         np.testing.assert_allclose(pmfs, [0.5, 0.0])
         np.testing.assert_allclose(integrals, pmfs, atol=1e-12)
 
-    def test_every_l_checked(self, simple, quad):
+    def test_every_l_checked(self, simple):
         cert = rw.choose_outer_radius(simple, 0.75)
         with pytest.raises(ValueError, match=">= 1"):
-            rw.verify_coeff_identity(simple, np.array([2, 0]), 1, cert, quad)
+            rw.verify_coeff_identity(simple, np.array([2, 0]), 1, cert)

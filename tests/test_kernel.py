@@ -1,4 +1,5 @@
 import dataclasses
+import time
 import warnings
 
 import numpy as np
@@ -191,6 +192,13 @@ class TestBatchedRoots:
     def test_u_outside_disk_rejected(self, simple):
         with pytest.raises(ValueError, match="< 1"):
             rw.find_kernel_roots(simple, np.array([0.5, 1.0]))
+
+    def test_nan_u_rejected_at_once(self, simple):
+        # a nan compares False with 1 either way: it must not reach eigvals
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="< 1"):
+            rw.find_kernel_roots(simple, np.nan)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("law", sorted(LAWS))
     def test_product_rows_match_scalar_calls(self, law):

@@ -265,7 +265,11 @@ def verify_coeff_identity(dist: IncrementDistribution, l, k, cert: RadiusCertifi
     pmf = np.array([laws[j][np.minimum(at, len(laws[j]) - 1)]
                     for j, at in zip(ls.tolist(), idx)])
     nodes = next_pow2(max(l_max * dist.j_max, int(idx.max())) + 1)
-    scaled = dist.pmf_a * cert.b ** np.arange(len(dist.pmf_a))
+    # b^j alone overflows past j = 709 / ln b where p_j b^j <= A(b) does not:
+    # p_J >= 2^-1074 bounds b^j <= A(b) / p_J < 2^2098, so each b^(j/4) is
+    # finite, and so is every partial product, none above p_j b^j
+    quarter = cert.b ** (np.arange(len(dist.pmf_a)) / 4)
+    scaled = dist.pmf_a * quarter * quarter * quarter * quarter
     spectra = np.fft.fft(circle_polyval(scaled, nodes) ** ls[:, None]) / nodes
     integral = np.take_along_axis(spectra, idx, axis=-1).real * cert.b ** -idx
     shape = l_arr.shape + k_arr.shape

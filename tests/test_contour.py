@@ -337,6 +337,30 @@ class TestVerifyCoeffIdentity:
         assert np.all(pmfs > 0.0)
         assert np.max(np.abs(integrals - pmfs)) <= 1e-15
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_wide_binomial_at_its_radius(self):
+        # binomial(1000, 0.01), s = 30: J = 161 and b ~ 3.06
+        d = rw.make_family("binomial", 30, n=1000, p=0.01)
+        cert = rw.choose_outer_radius(d, cli.u_circle(6)[1])
+        integrals, pmfs = rw.verify_coeff_identity(d, np.array([1, 2, 4]), np.array([1, 3]), cert)
+        assert np.max(np.abs(integrals - pmfs)) <= cli.CHECK_TOL["coefficient-identity"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("j_max", [400, 1000])
+    def test_overflowing_power_of_b(self, j_max):
+        # a subnormal last atom puts b where b^J overflows although p_J b^J
+        # and A(b) are finite; interior zeros make 0 * inf a NaN.  Every
+        # S_l = k + l, k >= 1, needs that atom: each pmf is 0.0
+        probs = np.zeros(j_max + 1)
+        probs[:2] = 0.7, 0.3
+        probs[j_max] = 1e-320
+        d = rw.make_family("explicit", 1, probs=probs)
+        cert = rw.choose_outer_radius(d, cli.u_circle(6)[1])
+        assert j_max * np.log(cert.b) > np.log(np.finfo(float).max)
+        integrals, pmfs = rw.verify_coeff_identity(d, np.array([1, 2, 4]), np.array([1, 3]), cert)
+        assert np.all(pmfs == 0.0)
+        assert np.max(np.abs(integrals - pmfs)) <= 1e-15
+
     def test_support_cap_fires_before_the_transform(self, simple, monkeypatch):
         cert = rw.choose_outer_radius(simple, 0.75)
         monkeypatch.setattr(rw.dist, "SUPPORT_CAP", 10)

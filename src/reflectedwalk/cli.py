@@ -11,8 +11,9 @@ line, ``#`` comments).  Recognized keys:
     tolerance pairwise agreement tolerance, positive and finite (default 1e-9)
 
 The config sets the run; output goes on the command line (--output,
---format, --verbose).  The u circle comes from n_max (u_circle); check
-tolerances are CHECK_TOL.
+--format, --verbose).  The u circle comes from n_max (u_circle); the outer
+contour radius is searched only for pollaczek; the structural checks read
+only the law and its kernel roots, with tolerances CHECK_TOL.
 
 Exit status is 0 iff every agreement pair and every structural check passes,
 1 if one fails, and 2 on a config, run or output error.
@@ -24,7 +25,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -303,7 +304,7 @@ def _checked(name: str, res: float) -> CheckResult:
     return CheckResult(name, res, tol, res <= tol)
 
 
-def _structural_checks(d, dp_table, cert) -> list:
+def _structural_checks(d, dp_table) -> list:
     checks = []
     # one-step functional equation at every complete row pair, on |z| = 1
     complete = dp_table.complete_rows
@@ -318,17 +319,10 @@ def _structural_checks(d, dp_table, cert) -> list:
     checks.append(_checked("numerator", oracle.numerator_check(
         d, us, roots, CHECK_TOL["numerator"])))
     # Cauchy coefficient identity on a small (l, k) grid, from one transform
-    integral, pmf = contour.verify_coeff_identity(
-        d, np.array([1, 2, 4]), np.array([1, 3]), cert
-    )
+    integral, pmf = contour.verify_coeff_identity(d, np.array([1, 2, 4]), np.array([1, 3]))
     checks.append(_checked("coefficient-identity", float(np.max(np.abs(integral - pmf)))))
-    # logarithmic residue of the kernel at u = 0.5, on radii between the
-    # largest root (below 1 - 1e-12) and 1
-    half = roots.row(1)
-    z = 0.5 * (half.max_modulus + 1.0)
-    lhs, rhs = kernel.root_logresidue_check(
-        d, 0.5, z, 0.5 * (half.max_modulus + z), nodes=2048, roots=half
-    )
+    # logarithmic residue of the kernel at u = 0.5; the roots set its contour
+    lhs, rhs = kernel.root_logresidue_check(d, 0.5, roots=roots.row(1))
     checks.append(_checked("log-residue", abs(lhs - rhs)))
     return checks
 
@@ -340,16 +334,14 @@ def run(config: RunConfig) -> RunResult:
     comparisons = len(methods) > 1 or any(m != "dp" for m in methods)
     if comparisons and "dp" not in methods:
         methods = ("dp",) + methods
-    # one radius search serves the pollaczek table, the coefficient-identity
-    # check and the report; a run without comparisons needs none.  Its
-    # certificate only has to cover the u circle the inversion samples.  A
-    # search that finds no admissible radius raises before any table is built.
+    # only the pollaczek table needs an outer radius.  Its certificate covers
+    # the u circle the inversion samples, and a search that finds no
+    # admissible radius raises before any table is built.
     nu, r_u = u_circle(config.n_max)
-    cert = contour.choose_outer_radius(d, r_u) if comparisons else None
+    cert = contour.choose_outer_radius(d, r_u) if "pollaczek" in methods else None
     tables = _compute_tables(d, config, methods, cert)
     pairs = _compare_tables(tables, methods, config.tolerance) if comparisons else []
-    checks = _structural_checks(d, tables["dp"], cert) if comparisons else []
-    cert_info = {} if cert is None else {"b": cert.b, "v": cert.v, "margin": cert.margin}
+    checks = _structural_checks(d, tables["dp"]) if comparisons else []
     env = {
         "family": d.family,
         "s": d.s,
@@ -358,7 +350,7 @@ def run(config: RunConfig) -> RunResult:
         "n_max": config.n_max,
         "m_max": config.m_max,
         "u_circle": {"radius": r_u, "nodes": nu, "bound": u_circle_bound(config.n_max)},
-        "radius_certificate": cert_info,
+        "radius_certificate": {} if cert is None else asdict(cert),
         "methods": list(methods),
     }
     return RunResult(tables=tables, report=AgreementReport(pairs, checks, env))

@@ -4,8 +4,9 @@ All integrals run over circles on a uniform angular grid.  The trapezoidal
 rule there is the FFT: entry n of fft(f) / N on the N nodes of |w| = r is
 r^n times the n-th Laurent coefficient of f plus its aliases at n +- N.
 For a polynomial of degree below N there are no aliases, and the rule is
-Cauchy's formula exactly, so the coefficient identity takes one transform
-of a length fixed by the degree.  The Pollaczek log kernel is no
+Cauchy's formula exactly on every circle around 0, so the coefficient
+identity takes one transform on |w| = 1, of a length fixed by the degree.
+The outer radius b serves the Pollaczek route alone.  Its log kernel is no
 polynomial: its plus part doubles N until successive spectra agree, and it
 is the one adaptive loop here.
 
@@ -83,37 +84,48 @@ class RadiusCertificate:
             raise ValueError(f"margin {self.margin!r} too close to 1")
 
 
+def _log_ratio(dist: IncrementDistribution, b: np.ndarray) -> np.ndarray:
+    """log(A(b) / b^s) at each b of a 1-D array: a log-sum-exp of the finite
+    log p_j + (j - s) log b, in blocks of at most 2^20 terms, so nothing
+    overflows and a long law needs little memory."""
+    j = np.flatnonzero(dist.pmf_a)
+    out = []
+    for log_b in np.array_split(np.log(b), max(1, (b.size * j.size) >> 20)):
+        terms = np.log(dist.pmf_a[j]) + np.multiply.outer(log_b, j - dist.s)
+        top = terms.max(axis=-1)
+        out.append(top + np.log(np.exp(terms - top[:, None]).sum(axis=-1)))
+    return np.concatenate(out)
+
+
 def choose_outer_radius(dist: IncrementDistribution, v: float) -> RadiusCertificate:
     """Outer radius b in (1, OUTER_RADIUS_CAP] with margin v A(b) / b^s <= 1 - MARGIN_SLACK.
 
-    A is a polynomial with nonnegative coefficients, so at every b the ratio
-    v A(b) / b^s bounds |u A(w) / w^s| on |w| = b for |u| <= v; where A(b)
-    overflows, the ratio is inf and inadmissible.  A geometric grid from
-    1.05 to the cap gives the b of the smallest margin; it starts a margin
-    above 1, as nearer 1 the circle nears the kernel zeros close to the unit
-    circle and the plus-part FFT needs more nodes.  Where no grid radius is
-    admissible, which needs J > s, b0 = ((1 - MARGIN_SLACK) / v)^(1 / (2 (J
-    - s))) is: A(b) / b^s <= b^(J - s) for b >= 1, so its margin is at most
-    sqrt(v (1 - MARGIN_SLACK)) < 1 - MARGIN_SLACK whenever v < 1 -
-    MARGIN_SLACK.  Only a larger v, or a b0 above the cap, raises
+    A has nonnegative coefficients, so v A(b) / b^s, read in logs by
+    _log_ratio, bounds |u A(w) / w^s| on |w| = b for |u| <= v.  A geometric
+    grid from 1.05 to the cap gives the b of the smallest margin; it starts
+    a margin above 1, as nearer 1 the circle nears the kernel zeros close
+    to the unit circle and the plus-part FFT needs more nodes.  Where no
+    grid radius is admissible, which needs J > s, b0 = ((1 - MARGIN_SLACK)
+    / v)^(1 / (2 (J - s))) is: A(b) / b^s <= b^(J - s) for b >= 1, so its
+    margin is at most sqrt(v (1 - MARGIN_SLACK)) < 1 - MARGIN_SLACK for
+    v < 1 - MARGIN_SLACK.  A larger v, or a b0 above the cap, raises
     RadiusSearchError.
     """
     if not 0.0 < v < 1.0:
         raise ValueError("v must lie in (0, 1)")
     grid = np.geomspace(1.05, OUTER_RADIUS_CAP, OUTER_RADIUS_GRID)
-    with np.errstate(over="ignore"):
-        ratios = v * pgf_eval(dist, grid).real / grid**dist.s
-    best = int(np.argmin(ratios))
-    b, margin = float(grid[best]), float(ratios[best])
-    if margin > 1.0 - MARGIN_SLACK and dist.j_max > dist.s:
+    logs = math.log(v) + _log_ratio(dist, grid)
+    best = int(np.argmin(logs))
+    b, log_margin = float(grid[best]), float(logs[best])
+    if log_margin > math.log1p(-MARGIN_SLACK) and dist.j_max > dist.s:
         b = ((1.0 - MARGIN_SLACK) / v) ** (0.5 / (dist.j_max - dist.s))
-        margin = float(v * pgf_eval(dist, b) / b**dist.s)
-    if not (1.0 < b <= OUTER_RADIUS_CAP and margin <= 1.0 - MARGIN_SLACK):
+        log_margin = math.log(v) + float(_log_ratio(dist, np.array([b]))[0])
+    if not (1.0 < b <= OUTER_RADIUS_CAP and log_margin <= math.log1p(-MARGIN_SLACK)):
         raise RadiusSearchError(
-            f"no admissible radius for v = {v}; best grid ratio "
-            f"{float(ratios[best])!r} at b = {float(grid[best])!r}"
+            f"no admissible radius for v = {v}; best grid log ratio "
+            f"{float(logs[best])!r} at b = {float(grid[best])!r}"
         )
-    return RadiusCertificate(b=b, v=v, margin=margin)
+    return RadiusCertificate(b=b, v=v, margin=math.exp(log_margin))
 
 
 def _plus_part(dist, u: np.ndarray, cert, quad, rho: float) -> np.ndarray:
@@ -239,17 +251,18 @@ def pollaczek_unit_grid(
     return values * np.expand_dims(1.0 / (1.0 - u), -1)
 
 
-def verify_coeff_identity(dist: IncrementDistribution, l, k, cert: RadiusCertificate):
+def verify_coeff_identity(dist: IncrementDistribution, l, k):
     """Cauchy extraction of [w^{k+sl}] A(w)^l against the exact pmf of S_l.
 
     l and k are ints or 1-D int arrays.  A(w)^l is a polynomial of degree
-    l J, so the trapezoid rule on N > max(l J, k + s l) nodes of |w| = b is
-    Cauchy's formula exactly, without aliases: the whole (l, k) grid is one
-    FFT of N nodes, one row A(w)^l per l, with A(w) on the circle from one
-    circle_polyval of the scaled pmf p_j b^j.  The pmfs of S_1 .. S_max(l)
-    come from one pass of walk_pmfs, whose SUPPORT_CAP guard runs before
-    the transform is allocated.  Returns (integral, pmf) for the caller to
-    compare, each shaped l.shape + k.shape: two floats for scalar l and k.
+    l J, so the trapezoid rule on N > max(l J, k + s l) nodes of any circle
+    around 0 is Cauchy's formula exactly, without aliases.  The circle is
+    |w| = 1, where |A(w)| <= 1, so no power overflows: the whole (l, k)
+    grid is one FFT of N nodes, one row A(w)^l per l, with A(w) from one
+    circle_polyval of the pmf.  The pmfs of S_1 .. S_max(l) come from one
+    pass of walk_pmfs, whose SUPPORT_CAP guard runs before the transform is
+    allocated.  Returns (integral, pmf) for the caller to compare, each
+    shaped l.shape + k.shape: two floats for scalar l and k.
     """
     l_arr, k_arr = np.asarray(l), np.asarray(k)
     ls = l_arr.reshape(-1)
@@ -258,20 +271,13 @@ def verify_coeff_identity(dist: IncrementDistribution, l, k, cert: RadiusCertifi
     l_max = int(ls.max())
     idx = k_arr.reshape(1, -1) + dist.s * ls[:, None]
     # P(S_l = k) = 0 above the support: clamp those k to an appended zero
-    laws = {}
-    for j, probs in enumerate(walk_pmfs(dist, l_max), start=1):
-        if j in ls:
-            laws[j] = np.append(probs, 0.0)
+    laws = {j: np.append(probs, 0.0)
+            for j, probs in enumerate(walk_pmfs(dist, l_max), start=1) if j in ls}
     pmf = np.array([laws[j][np.minimum(at, len(laws[j]) - 1)]
                     for j, at in zip(ls.tolist(), idx)])
     nodes = next_pow2(max(l_max * dist.j_max, int(idx.max())) + 1)
-    # b^j alone overflows past j = 709 / ln b where p_j b^j <= A(b) does not:
-    # p_J >= 2^-1074 bounds b^j <= A(b) / p_J < 2^2098, so each b^(j/4) is
-    # finite, and so is every partial product, none above p_j b^j
-    quarter = cert.b ** (np.arange(len(dist.pmf_a)) / 4)
-    scaled = dist.pmf_a * quarter * quarter * quarter * quarter
-    spectra = np.fft.fft(circle_polyval(scaled, nodes) ** ls[:, None]) / nodes
-    integral = np.take_along_axis(spectra, idx, axis=-1).real * cert.b ** -idx
+    spectra = np.fft.fft(circle_polyval(dist.pmf_a, nodes) ** ls[:, None]) / nodes
+    integral = np.take_along_axis(spectra, idx, axis=-1).real
     shape = l_arr.shape + k_arr.shape
     if not shape:
         return float(integral[0, 0]), float(pmf[0, 0])

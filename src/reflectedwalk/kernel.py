@@ -47,11 +47,12 @@ companion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._complex import cexp, circle, circle_polyval, clog
+from ._complex import cexp, circle, circle_polyval, clog, next_pow2
 from .dist import IncrementDistribution, pgf_eval
 
 IN_DISK_TOL = 1e-12        # strict in-disk selection margin
@@ -151,9 +152,11 @@ def _companion_rows(dist: IncrementDistribution, us: np.ndarray) -> np.ndarray:
     bad = found != s
     if bad.any():
         k = int(np.argmax(bad))
+        # the moduli on either side of the in-disk cut (0.0 or inf if none)
+        gap = np.concatenate([[0.0], np.sort(np.abs(cand[k])), [np.inf]])[found[k] : found[k] + 2]
         raise KernelRootError(
-            f"expected {s} in-disk roots, found {found[k]} at u={us[k].item()!r}; "
-            f"all root moduli: {sorted(np.abs(cand[k]).tolist())}"
+            f"expected {s} in-disk roots, found {found[k]} at u={us[k].item()!r}; largest "
+            f"in-disk modulus {gap[0].item()!r}, smallest outside {gap[1].item()!r}"
         )
     roots = flat[inside].reshape(len(us), s)
     # deterministic ordering: by real part, then imaginary part
@@ -298,33 +301,31 @@ def product_eval(dist: IncrementDistribution, u, z, roots: RootSet):
     return out if out.ndim else complex(out)
 
 
-def root_logresidue_check(
-    dist: IncrementDistribution,
-    u: float,
-    z: float,
-    inner_radius: float,
-    nodes: int,
-    roots: RootSet | None = None,
-):
+def root_logresidue_check(dist: IncrementDistribution, u: float, roots: RootSet | None = None):
     """Sum of principal-branch logs over the roots vs its contour integral.
 
     Left side: sum_k ln((z - z_k) / (1 - z_k)).  Right side: trapezoidal
     quadrature of (1/2 pi i) oint_{|w|=a} ln((z - w)/(1 - w)) k'(w)/k(w) dw.
     roots are the kernel roots at u; by default find_kernel_roots(dist, u).
-    On the nodes w_j = a exp(2 pi i j / nodes), k(w_j) and w_j k'(w_j) come
-    from one circle_polyval of c_i a^i and i c_i a^i, c_i being
-    kernel_coeffs, in place of two Horner sums over the circle.
+    With m = max|z_k|, z = (m + 1) / 2 and a = (m + z) / 2.  The integrand
+    is analytic on m < |w| < z, so the rule on N nodes errs by O(rho^N),
+    rho = max(m / a, a / z) (Trefethen & Weideman, SIAM Review 56, 2014):
+    N is the smallest power of two >= 16 with rho^N <= eps, and an N above
+    2^20 raises ValueError.  k(w_j) and w_j k'(w_j) come from one
+    circle_polyval of c_i a^i and i c_i a^i, c_i being kernel_coeffs.
     Returns (lhs, rhs) as real numbers for the caller to compare.
     """
     if not (0.0 < u < 1.0):
         raise ValueError("u must be real in (0, 1)")
     if roots is None:
         roots = find_kernel_roots(dist, u)
-    a = inner_radius
-    if not (roots.max_modulus < a < z < 1.0):
-        raise ValueError(
-            f"need max|z_k| = {roots.max_modulus} < a = {a} < z = {z} < 1"
-        )
+    top = roots.max_modulus
+    z = 0.5 * (top + 1.0)
+    a = 0.5 * (top + z)
+    rate = max(top / a, a / z)
+    nodes = next_pow2(math.ceil(math.log(np.finfo(float).eps) / math.log(rate)))
+    if nodes > 1 << 20:
+        raise ValueError(f"log-residue check needs {nodes} nodes, above 2^20")
     lhs = complex(np.sum(clog((z - roots.roots) / (1.0 - roots.roots))))
     i = np.arange(max(dist.s, dist.j_max) + 1)
     scaled = kernel_coeffs(dist, u) * a**i

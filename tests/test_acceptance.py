@@ -121,10 +121,9 @@ def test_criterion_3_pollaczek_vs_product(dists, simple):
 def test_criterion_4_coefficient_identity(dists):
     worst = 0.0
     for name, d in dists.items():
-        cert = rw.choose_outer_radius(d, V_CAP)
         for l in range(1, 21):
             for k in range(1, 21):
-                integral, pmf = rw.verify_coeff_identity(d, l, k, cert)
+                integral, pmf = rw.verify_coeff_identity(d, l, k)
                 err = abs(integral - pmf)
                 assert err <= 1e-10, (name, l, k, err)
                 worst = max(worst, err)
@@ -135,10 +134,7 @@ def test_criterion_5_log_residue(dists):
     worst = 0.0
     for name, d in dists.items():
         for u in (0.25, 0.5, 0.75):
-            roots = rw.find_kernel_roots(d, u)
-            z = 0.5 * (roots.max_modulus + 1.0)
-            a = 0.5 * (roots.max_modulus + z)
-            lhs, rhs = rw.root_logresidue_check(d, u, z, a, nodes=2048)
+            lhs, rhs = rw.root_logresidue_check(d, u)
             err = abs(lhs - rhs)
             assert err <= 1e-8, (name, u, err)
             worst = max(worst, err)

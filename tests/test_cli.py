@@ -115,9 +115,11 @@ class TestRun:
         for pair in result.report.pairs:
             assert pair.max_deviation <= 1e-9
 
-    @pytest.mark.parametrize("methods,searches", [("dp", 0), ("dp, spitzer", 1),
+    @pytest.mark.parametrize("methods,searches", [("dp", 0), ("dp, spitzer", 0), ("dp, product", 0),
                                                   ("dp, spitzer, product, pollaczek", 1)])
     def test_one_radius_search_per_run(self, monkeypatch, methods, searches):
+        # the outer radius serves the pollaczek table alone: the structural
+        # checks read only the law and its kernel roots
         calls = []
         search = rw.contour.choose_outer_radius
         monkeypatch.setattr(
@@ -275,9 +277,12 @@ class TestUCircle:
         env = json.loads(cli.render_json(result))["report"]["environment"]
         nu, r = cli.u_circle(8)
         assert env["u_circle"] == {"radius": r, "nodes": nu, "bound": cli.u_circle_bound(8)}
-        assert env["radius_certificate"]["v"] == r
+        assert env["radius_certificate"] == {}  # no pollaczek, no radius
         assert "u_radius" not in env
         assert '"u_circle"' in cli.render_report_text(result.report, verbose=True)
+        result = cli.run(cli.parse_config(SIMPLE_CONFIG.replace("spitzer", "pollaczek")))
+        env = json.loads(cli.render_json(result))["report"]["environment"]
+        assert env["radius_certificate"]["v"] == r
 
 
 def _poisson_config(lam, s, methods, n_max, m_max=None):
@@ -320,7 +325,8 @@ class TestHeavyTraffic:
         assert result.report.all_passed, cli.render_report_text(result.report)
         for check in result.report.checks:
             assert check.passed and np.isfinite(check.residual)
-        assert 1.0 < result.report.environment["radius_certificate"]["b"] < 1.05
+        cert = result.report.environment["radius_certificate"]
+        assert (1.0 < cert["b"] < 1.05) if "pollaczek" in methods else cert == {}
 
     def test_gate_sends_ill_conditioned_roots_to_the_companion(self):
         # poisson(45), s = 50: Newton roots seeded from u[0] mostly meet
@@ -331,21 +337,54 @@ class TestHeavyTraffic:
         assert result.report.pairs[0].max_deviation <= 1e-9
 
     def test_coefficient_identity_on_the_sampled_circle(self):
-        # poisson(60), s = 50: the certificate covers |u| <= r = 0.403, the
-        # circle the inversion samples, not the whole of |u| <= 0.75
+        # poisson(60), s = 50, no contour method: no radius is searched, and
+        # the identity reads A(w)^l on |w| = 1
         result = cli.run(_poisson_config(60.0, 50, "dp, spitzer", 6))
         assert _check(result, "coefficient-identity").passed
         assert result.report.all_passed
 
     def test_comparison_without_radius_fails_at_once(self, tmp_path, capsys):
         # zero drift at n_max = 4096: v = 0.99906 > 1 - MARGIN_SLACK, so no
-        # radius is admissible and the run exits before it builds a table
+        # radius is admissible and a pollaczek run exits before it builds a
+        # table
         path = tmp_path / "run.cfg"
-        path.write_text(SIMPLE_CONFIG.replace("n_max = 8", "n_max = 4096"))
+        path.write_text(SIMPLE_CONFIG.replace("n_max = 8", "n_max = 4096")
+                        .replace("spitzer", "pollaczek"))
         start = time.perf_counter()
         assert cli.main(["--config", str(path)]) == 2
         assert time.perf_counter() - start < 1.0
         assert "no admissible radius" in capsys.readouterr().err
+
+
+class TestLargeS:
+    """Large-s laws run without a contour method: no outer radius, no overflow."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("family,params", [
+        ("poisson", "lam = 100\ns = 300"),
+        ("binomial", "n = 1000\np = 0.1\ns = 450"),
+    ], ids=["poisson-100-300", "binomial-1000-0.1-450"])
+    def test_checks_pass_without_a_radius(self, monkeypatch, family, params):
+        # A(b)^4 overflowed at the outer radius b = 8, and 2048 log-residue
+        # nodes read 0.19 on poisson(100), s = 300
+        calls = []
+        monkeypatch.setattr(rw.contour, "choose_outer_radius", lambda *a: calls.append(a))
+        cfg = cli.parse_config(f"family = {family}\n{params}\nmethods = dp, spitzer\nn_max = 6\n")
+        result = cli.run(cfg)
+        assert result.report.all_passed, cli.render_report_text(result.report)
+        assert [c.name for c in result.report.checks] == list(cli.CHECK_TOL)
+        assert calls == []
+
+    def test_companion_limit_is_one_short_line(self, tmp_path, capsys):
+        # binomial(1000, 0.5), s = 714: the companion finds 501 of the 714
+        # in-disk roots, and the error names the two moduli around the gap
+        path = tmp_path / "run.cfg"
+        path.write_text("family = binomial\nn = 1000\np = 0.5\ns = 714\n"
+                        "methods = dp, spitzer\nn_max = 6\n")
+        assert cli.main(["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 300
+        assert err.startswith("run failed: expected 714 in-disk roots, found 501 at u=0.25;")
 
 
 class TestRendering:

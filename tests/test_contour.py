@@ -1,4 +1,5 @@
 import cmath
+import decimal
 import time
 
 import numpy as np
@@ -75,8 +76,9 @@ class TestChooseOuterRadius:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_grid_radii_are_inadmissible(self):
         # geometric(0.05), s = 20, J = 630: A(b) overflows at the top of the
-        # grid, where its ratio is inf; no grid radius is admissible, and b0,
-        # below the untruncated pole 1 / (1 - p), serves
+        # grid, where its ratio, read in logs, is huge but finite; no grid
+        # radius is admissible, and b0, below the untruncated pole
+        # 1 / (1 - p), serves
         d = rw.make_family("geometric", 20, p=0.05)
         v = cli.u_circle(6)[1]
         cert = rw.choose_outer_radius(d, v)
@@ -103,8 +105,31 @@ class TestChooseOuterRadius:
         cert = rw.choose_outer_radius(d, v)
         assert cert.b == ((1.0 - slack) / v) ** (0.5 / (d.j_max - s))
         assert 1.0 < cert.b < 1.05
-        assert cert.margin == v * rw.pgf_eval(d, cert.b) / cert.b**s
+        # the margin is a log-sum-exp, a few eps from Horner's ratio
+        assert cert.margin == pytest.approx(v * rw.pgf_eval(d, cert.b) / cert.b**s, rel=1e-13)
         assert cert.margin <= np.sqrt(v * (1.0 - slack)) * (1.0 + 1e-12) < 1.0 - slack
+
+    @staticmethod
+    def _exact_margin(d, v, b):
+        # v A(b) / b^s in 60-digit decimal arithmetic, where no power overflows
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            ratio = sum(decimal.Decimal(float(p)) * decimal.Decimal(b) ** (j - d.s)
+                        for j, p in enumerate(d.pmf_a) if p)
+            return float(decimal.Decimal(v) * ratio)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("s,p,b", [(714, 0.5, 2.494), (450, 0.1, 8.0)])
+    def test_large_s_binomial_in_logs(self, s, p, b):
+        # A(b) and b^s both overflow on part of the grid: their quotient
+        # read NaN (p = 0.5) or 0.0 (p = 0.1); in logs the margin is the
+        # tiny positive number it is
+        d = rw.make_family("binomial", s, n=1000, p=p)
+        v = cli.u_circle(6)[1]
+        cert = rw.choose_outer_radius(d, v)
+        assert cert.b == pytest.approx(b, abs=1e-3)
+        assert 0.0 < cert.margin < 1e-40
+        assert cert.margin == pytest.approx(self._exact_margin(d, v, cert.b), rel=1e-12)
 
     def test_no_radius_above_the_slack(self, simple):
         # zero drift: v A(b)/b^s >= v > 1 - MARGIN_SLACK at every b > 1
@@ -314,8 +339,7 @@ class TestBatchedPlusPart:
 class TestVerifyCoeffIdentity:
     def test_degenerate_zero(self, dists):
         d = dists["a-equals-s"]  # S_l identically 0
-        cert = rw.choose_outer_radius(d, 0.75)
-        integral, pmf = rw.verify_coeff_identity(d, 3, 1, cert)
+        integral, pmf = rw.verify_coeff_identity(d, 3, 1)
         assert pmf == 0.0
         assert abs(integral) <= 1e-12
 
@@ -323,75 +347,69 @@ class TestVerifyCoeffIdentity:
         # A(w)^1 = w^2 has degree 2; k + s l = 42 is read on N > 42 nodes,
         # where no alias of w^2 lands
         d = dists["a-equals-s"]
-        cert = rw.choose_outer_radius(d, 0.75)
-        integral, pmf = rw.verify_coeff_identity(d, 1, 40, cert)
+        integral, pmf = rw.verify_coeff_identity(d, 1, 40)
         assert pmf == 0.0
         assert abs(integral) <= 1e-15
 
     def test_large_support_on_the_run_grid(self):
         # geometric(0.05), s = 20: J = 630, A(w)^4 of degree 2520, one FFT
         d = rw.make_family("geometric", 20, p=0.05)
-        cert = rw.choose_outer_radius(d, cli.u_circle(6)[1])
         ls, ks = np.array([1, 2, 4]), np.array([1, 3])
-        integrals, pmfs = rw.verify_coeff_identity(d, ls, ks, cert)
+        integrals, pmfs = rw.verify_coeff_identity(d, ls, ks)
         assert np.all(pmfs > 0.0)
         assert np.max(np.abs(integrals - pmfs)) <= 1e-15
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_wide_binomial_at_its_radius(self):
-        # binomial(1000, 0.01), s = 30: J = 161 and b ~ 3.06
+        # binomial(1000, 0.01), s = 30: J = 161, whose Pollaczek radius
+        # b ~ 3.06 the identity no longer reads; |w| = 1 serves every law
         d = rw.make_family("binomial", 30, n=1000, p=0.01)
-        cert = rw.choose_outer_radius(d, cli.u_circle(6)[1])
-        integrals, pmfs = rw.verify_coeff_identity(d, np.array([1, 2, 4]), np.array([1, 3]), cert)
+        integrals, pmfs = rw.verify_coeff_identity(d, np.array([1, 2, 4]), np.array([1, 3]))
         assert np.max(np.abs(integrals - pmfs)) <= cli.CHECK_TOL["coefficient-identity"]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("j_max", [400, 1000])
     def test_overflowing_power_of_b(self, j_max):
-        # a subnormal last atom puts b where b^J overflows although p_J b^J
-        # and A(b) are finite; interior zeros make 0 * inf a NaN.  Every
-        # S_l = k + l, k >= 1, needs that atom: each pmf is 0.0
+        # a subnormal last atom puts the Pollaczek radius b where b^J
+        # overflows; on |w| = 1 no power of the radius is taken at all.
+        # Every S_l = k + l, k >= 1, needs that atom: each pmf is 0.0
         probs = np.zeros(j_max + 1)
         probs[:2] = 0.7, 0.3
         probs[j_max] = 1e-320
         d = rw.make_family("explicit", 1, probs=probs)
         cert = rw.choose_outer_radius(d, cli.u_circle(6)[1])
         assert j_max * np.log(cert.b) > np.log(np.finfo(float).max)
-        integrals, pmfs = rw.verify_coeff_identity(d, np.array([1, 2, 4]), np.array([1, 3]), cert)
+        integrals, pmfs = rw.verify_coeff_identity(d, np.array([1, 2, 4]), np.array([1, 3]))
         assert np.all(pmfs == 0.0)
         assert np.max(np.abs(integrals - pmfs)) <= 1e-15
 
     def test_support_cap_fires_before_the_transform(self, simple, monkeypatch):
-        cert = rw.choose_outer_radius(simple, 0.75)
         monkeypatch.setattr(rw.dist, "SUPPORT_CAP", 10)
         monkeypatch.setattr(rw.contour, "circle_polyval", None)
         with pytest.raises(ValueError, match="exceeds cap 10"):
-            rw.verify_coeff_identity(simple, 50, 1, cert)
+            rw.verify_coeff_identity(simple, 50, 1)
 
     def test_simple_walk_two_up_steps(self, simple):
-        cert = rw.choose_outer_radius(simple, 0.75)
-        integral, pmf = rw.verify_coeff_identity(simple, 2, 2, cert)
+        integral, pmf = rw.verify_coeff_identity(simple, 2, 2)
         assert pmf == pytest.approx(0.25)
         assert integral == pytest.approx(0.25, abs=1e-12)
 
     def test_geometric_direct_lookup(self, dists):
         d = dists["geometric"]
-        cert = rw.choose_outer_radius(d, 0.75)
-        integral, pmf = rw.verify_coeff_identity(d, 1, 1, cert)
+        integral, pmf = rw.verify_coeff_identity(d, 1, 1)
         assert pmf == pytest.approx(0.125, abs=1e-13)
         assert integral == pytest.approx(pmf, abs=1e-12)
 
     def test_grid_agreement(self, dists):
         ks = np.array([1, 4, 9])
         for d in dists.values():
-            cert = rw.choose_outer_radius(d, 0.75)
             for l in (1, 3, 7):
-                scalar = [rw.verify_coeff_identity(d, l, k, cert) for k in ks]
+                scalar = [rw.verify_coeff_identity(d, l, k) for k in ks]
                 for integral, pmf in scalar:
                     assert abs(integral - pmf) <= 1e-15
                 # one transform for every k reads the same pmfs, and its
                 # coefficients to within an eps: N grows with the largest k
-                integrals, pmfs = rw.verify_coeff_identity(d, l, ks, cert)
+                integrals, pmfs = rw.verify_coeff_identity(d, l, ks)
                 np.testing.assert_array_equal(pmfs, [pmf for _, pmf in scalar])
                 assert np.max(np.abs(integrals - [i for i, _ in scalar])) <= EPS
 
@@ -400,25 +418,36 @@ class TestVerifyCoeffIdentity:
         # one transform for every (l, k) agrees with one per l, the run's
         # grid l = 1, 2, 4 included, to within an eps
         d = STANDARD[law]
-        cert = rw.choose_outer_radius(d, 0.75)
         ks = np.array([1, 3, 9])
         for ls in (np.array([1, 2, 4]), np.array([7, 3, 1, 3])):
-            integrals, pmfs = rw.verify_coeff_identity(d, ls, ks, cert)
+            integrals, pmfs = rw.verify_coeff_identity(d, ls, ks)
             assert integrals.shape == pmfs.shape == (len(ls), len(ks))
             assert np.max(np.abs(integrals - pmfs)) <= 1e-15
             for row, l in enumerate(ls.tolist()):
-                integral, pmf = rw.verify_coeff_identity(d, l, ks, cert)
+                integral, pmf = rw.verify_coeff_identity(d, l, ks)
                 assert np.max(np.abs(integrals[row] - integral)) <= EPS
                 np.testing.assert_array_equal(pmfs[row], pmf)
 
     def test_l_array_with_scalar_k(self, simple):
-        cert = rw.choose_outer_radius(simple, 0.75)
-        integrals, pmfs = rw.verify_coeff_identity(simple, np.array([1, 2]), 1, cert)
+        integrals, pmfs = rw.verify_coeff_identity(simple, np.array([1, 2]), 1)
         assert integrals.shape == pmfs.shape == (2,)
         np.testing.assert_allclose(pmfs, [0.5, 0.0])
         np.testing.assert_allclose(integrals, pmfs, atol=1e-12)
 
     def test_every_l_checked(self, simple):
-        cert = rw.choose_outer_radius(simple, 0.75)
         with pytest.raises(ValueError, match=">= 1"):
-            rw.verify_coeff_identity(simple, np.array([2, 0]), 1, cert)
+            rw.verify_coeff_identity(simple, np.array([2, 0]), 1)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("family,s,params", [
+        ("poisson", 300, {"lam": 100.0}),
+        ("binomial", 450, {"n": 1000, "p": 0.1}),
+        ("binomial", 714, {"n": 1000, "p": 0.5}),
+    ])
+    def test_large_s_laws_stay_finite(self, family, s, params):
+        # A(b)^4 overflowed at these laws' Pollaczek radii; |A(w)| <= 1 on
+        # |w| = 1, so every power is finite
+        d = rw.make_family(family, s, **params)
+        integrals, pmfs = rw.verify_coeff_identity(d, np.array([1, 2, 4]), np.array([1, 3]))
+        assert np.all(np.isfinite(integrals))
+        assert np.max(np.abs(integrals - pmfs)) <= 1e-16

@@ -462,23 +462,35 @@ class TestProductEval:
 
 
 class TestLogResidueCheck:
+    @staticmethod
+    def _nodes_used(monkeypatch):
+        """Record the node count of each contour transform the check makes."""
+        used = []
+        transform = kernel.circle_polyval
+        monkeypatch.setattr(
+            kernel, "circle_polyval", lambda c, nodes: used.append(nodes) or transform(c, nodes)
+        )
+        return used
+
     def test_single_root_closed_form(self):
-        # A identically 0 with s = 1: single root z_0 = u
+        # A identically 0 with s = 1: single root z_0 = u, so z = 0.625
         d = rw.make_family("deterministic", 1, c=0)
-        lhs, rhs = rw.root_logresidue_check(d, 0.25, 0.5, 0.35, nodes=512)
-        assert lhs == pytest.approx(np.log((0.5 - 0.25) / 0.75), abs=1e-12)
+        lhs, rhs = rw.root_logresidue_check(d, 0.25)
+        assert lhs == pytest.approx(np.log((0.625 - 0.25) / 0.75), abs=1e-12)
         assert rhs == pytest.approx(lhs, abs=1e-10)
 
     def test_roots_at_origin_closed_form(self, dists):
+        # every root at 0: z = 1/2
         d = dists["a-equals-s"]
-        lhs, rhs = rw.root_logresidue_check(d, 0.5, 0.5, 0.25, nodes=512)
+        lhs, rhs = rw.root_logresidue_check(d, 0.5)
         assert lhs == pytest.approx(d.s * np.log(0.5), abs=1e-12)
         assert rhs == pytest.approx(lhs, abs=1e-10)
 
     def test_simple_walk_agreement(self, simple):
-        lhs, rhs = rw.root_logresidue_check(simple, 0.5, 0.6, 0.4, nodes=512)
+        lhs, rhs = rw.root_logresidue_check(simple, 0.5)
         z0 = 2.0 - np.sqrt(3.0)
-        assert lhs == pytest.approx(np.log((0.6 - z0) / (1.0 - z0)), abs=1e-12)
+        z = 0.5 * (z0 + 1.0)
+        assert lhs == pytest.approx(np.log((z - z0) / (1.0 - z0)), abs=1e-12)
         assert abs(lhs - rhs) <= 1e-10
 
     def test_tiny_kernel_on_the_contour(self):
@@ -490,32 +502,31 @@ class TestLogResidueCheck:
         a = 0.5 * (top + z)
         w = a * np.exp(2j * np.pi * np.arange(2048) / 2048)
         assert np.min(np.abs(kernel_eval(d, 0.5, w))) < 1e-12
-        lhs, rhs = rw.root_logresidue_check(d, 0.5, z, a, nodes=2048)
+        lhs, rhs = rw.root_logresidue_check(d, 0.5)
         assert abs(lhs - rhs) <= 1e-8
 
     def test_given_roots_are_used(self, dists):
+        # the given roots set both sides and the contour: the u = 0.25
+        # roots, checked against the u = 0.5 kernel, fail the check
         d = dists["poisson"]
-        top = rw.find_kernel_roots(d, 0.5).max_modulus
-        z, a = 0.5 * (top + 1.0), 0.25 * (3.0 * top + 1.0)
-        own = rw.root_logresidue_check(d, 0.5, z, a, nodes=512)
-        given = rw.root_logresidue_check(d, 0.5, z, a, nodes=512,
-                                         roots=rw.find_kernel_roots(d, 0.5))
+        own = rw.root_logresidue_check(d, 0.5)
+        given = rw.root_logresidue_check(d, 0.5, roots=rw.find_kernel_roots(d, 0.5))
         assert given == own
-        wrong = rw.root_logresidue_check(d, 0.5, z, a, nodes=512,
-                                         roots=rw.find_kernel_roots(d, 0.25))
-        assert wrong[0] != own[0] and wrong[1] == own[1]
+        wrong = rw.root_logresidue_check(d, 0.5, roots=rw.find_kernel_roots(d, 0.25))
+        assert wrong[0] != own[0]
+        assert abs(wrong[0] - wrong[1]) > cli.CHECK_TOL["log-residue"]
 
     @pytest.mark.parametrize(
         "family,s,kwargs,nodes",
         [
             ("poisson", 2, {"lam": 1.2}, 512),
             ("poisson", 15, {"lam": 14.0}, 2048),
-            # J = 51 >= 32 nodes: the coefficients fold mod the node count
-            ("poisson", 15, {"lam": 14.0}, 32),
         ],
     )
     def test_transform_matches_horner(self, family, s, kwargs, nodes):
-        # the contour integral from k and w k' by Horner sums on the circle
+        # the contour integral from k and w k' by Horner sums on a fixed,
+        # larger node count; the check's own count (256 and 1024) is
+        # converged to roundoff against it
         d = rw.make_family(family, s, **kwargs)
         roots = rw.find_kernel_roots(d, 0.5)
         z = 0.5 * (roots.max_modulus + 1.0)
@@ -524,11 +535,42 @@ class TestLogResidueCheck:
         w = a * np.exp(2j * np.pi * np.arange(nodes) / nodes)
         kw = np.polyval(coeffs, w)
         horner = np.mean(np.log((z - w) / (1.0 - w)) * w * np.polyval(np.polyder(coeffs), w) / kw)
-        _, rhs = rw.root_logresidue_check(d, 0.5, z, a, nodes=nodes, roots=roots)
+        _, rhs = rw.root_logresidue_check(d, 0.5, roots=roots)
         assert abs(rhs - horner.real) <= 1e-12 * max(1.0, abs(horner))
 
-    def test_radius_ordering_enforced(self, simple):
-        with pytest.raises(ValueError, match="<"):
-            rw.root_logresidue_check(simple, 0.5, 0.6, 0.7, nodes=512)
-        with pytest.raises(ValueError):
-            rw.root_logresidue_check(simple, 0.5, 0.6, 0.1, nodes=512)
+    def test_node_count_from_the_rate(self, dists, monkeypatch):
+        # N is the smallest power of two >= 16 with rho^N <= eps,
+        # rho = max(max|z_k| / a, a / z): 64 to 512 on the standard laws,
+        # where a fixed count took 2048
+        used = self._nodes_used(monkeypatch)
+        eps = np.finfo(float).eps
+        for d in dists.values():
+            top = rw.find_kernel_roots(d, 0.5).max_modulus
+            z = 0.5 * (top + 1.0)
+            a = 0.5 * (top + z)
+            rate = max(top / a, a / z)
+            rw.root_logresidue_check(d, 0.5)
+            nodes = used.pop()
+            assert rate**nodes <= eps < rate ** (nodes // 2) or nodes == 16
+            assert 64 <= nodes <= 512
+        d = rw.make_family("poisson", 15, lam=14.0)
+        rw.root_logresidue_check(d, 0.5)
+        assert used == [1024]
+
+    def test_large_s_takes_more_nodes(self, monkeypatch):
+        # poisson(100), s = 300: max|z_k| = 0.99654 lies 8.6e-4 below a, and
+        # 2048 nodes read 0.19; the rate rule takes 65536
+        d = rw.make_family("poisson", 300, lam=100.0)
+        used = self._nodes_used(monkeypatch)
+        lhs, rhs = rw.root_logresidue_check(d, 0.5)
+        assert used == [65536]
+        assert abs(lhs - rhs) <= cli.CHECK_TOL["log-residue"]
+
+    def test_node_cap_raises(self, simple):
+        # a root 1e-9 below the unit circle needs ~1e11 nodes: the check
+        # raises, naming the count, before it allocates anything
+        roots = rw.RootSet(np.array([1.0 - 1e-9]))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"needs \d+ nodes"):
+            rw.root_logresidue_check(simple, 0.5, roots=roots)
+        assert time.perf_counter() - start < 1.0

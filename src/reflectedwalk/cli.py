@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import contour, dist as dist_mod, kernel, oracle, series
+from . import _floattext, contour, dist as dist_mod, kernel, oracle, series
 from ._complex import cexp, circle, next_pow2
 
 DEFAULT_METHODS = ("dp",)
@@ -363,33 +363,49 @@ def _format_float(x: float) -> str:
 def render_csv(result: RunResult) -> str:
     """One line ``n,m,method,repr(P)`` per cell of every complete row.
 
-    Each row is one bytes %-format: the line templates of cells 0 .. k-1
-    take the row's floats by %r (a float's ASCII repr, _format_float's
-    text), and the cells from k on, whose bits are all +0.0, copy the
-    literal 0.0 from a second template.  k is one past the row's last cell
-    that is not +0.0, so -0.0, subnormals and interior zeros still go
-    through repr.  Rows accumulate in one bytearray, decoded once.
+    k is one past the row's last cell that is not +0.0.  The head cells
+    m < k of every table, -0.0, subnormals and interior zeros included,
+    take their text from one _floattext.float_text call, which is repr's
+    text (its docstring shows why; a render of few cells calls repr
+    itself), so each probability reads as _format_float writes it.  A row
+    is one bytes %-format of its head lines' template, which takes the
+    texts by %s, then its +0.0 tail, copied from a second template with the
+    literal 0.0.  Both templates hold a NUL for n, which one replace per
+    row fills in.  Rows accumulate in one bytearray, decoded once.
     """
-    out = bytearray(b"n,m,method,probability\n")
+    layout, heads = [], []
     for method in sorted(result.tables):
         table = result.tables[method]
-        probs = table.probs
         width = table.m_max + 1
-        tag = method.encode()
-        live = [b"%%d,%d,%s,%%r\n" % (m, tag) for m in range(width)]
-        zero = [b"%%d,%d,%s,0.0\n" % (m, tag) for m in range(width)]
+        rows = np.flatnonzero(table.complete_rows)
+        nonzero = (table.probs.view(np.uint64) != 0)[rows]
+        ends = np.where(nonzero.any(axis=1), width - np.argmax(nonzero[:, ::-1], axis=1), 0)
+        head = np.zeros(table.probs.shape, dtype=bool)
+        head[rows] = np.arange(width) < ends[:, None]
+        heads.append(table.probs[head])
+        layout.append((method.encode(), width, rows.tolist(), ends.tolist()))
+    texts = _floattext.float_text(np.concatenate(heads)) if heads else None
+    del heads
+    out = bytearray(b"n,m,method,probability\n")
+    at = 0
+    for tag, width, rows, ends in layout:
+        # NUL stands for the row number n until the row is written
+        live = [b"\0,%d,%s,%%s\n" % (m, tag) for m in range(width)]
+        zero = [b"\0,%d,%s,0.0\n" % (m, tag) for m in range(width)]
         # line m starts at live_at[m] (zero_at[m]) in the joined templates
         live_at = np.cumsum([0] + [len(x) for x in live]).tolist()
         zero_at = np.cumsum([0] + [len(x) for x in zero]).tolist()
         live, zero = b"".join(live), b"".join(zero)
-        rows = np.flatnonzero(table.complete_rows)
-        nonzero = probs[rows].view(np.uint64) != 0
-        ends = np.where(nonzero.any(axis=1), width - np.argmax(nonzero[:, ::-1], axis=1), 0)
-        for n, k in zip(rows.tolist(), ends.tolist()):
-            # line m < k takes (n, P[n, m]), line m >= k takes n alone
-            args = [n] * (k + width)
-            args[1 : 2 * k : 2] = probs[n, :k].tolist()
-            out += (live[: live_at[k]] + zero[zero_at[k] :]) % tuple(args)
+        for n, k in zip(rows, ends):
+            # lines m < k take the text of P[n, m], lines m >= k are copied
+            num = b"%d" % n
+            row = tuple(texts[at : at + k].tolist())
+            out += live[: live_at[k]].replace(b"\0", num) % row
+            out += zero[zero_at[k] :].replace(b"\0", num)
+            at += k
+    # the texts go before the decoded copy of the buffer comes, so the
+    # render's peak is the buffer and its copy, as with repr per cell
+    del texts
     text = out.decode("ascii")
     # shrink the buffer before it is freed: glibc raises its mmap threshold
     # to the size of a freed mapped block, and later blocks below that size
@@ -400,15 +416,21 @@ def render_csv(result: RunResult) -> str:
 
 
 def render_json(result: RunResult) -> str:
+    """The tables and the report as JSON; every float is its repr text.
+
+    Table cells and overflow counters take their text from
+    _floattext.float_text, as the CSV does, so both renderers write each
+    probability as the same string.
+    """
     payload = {
         "tables": {
             method: {
                 "method": table.method,
                 "n_max": table.n_max,
                 "m_max": table.m_max,
-                "probs": [[repr(x) for x in row] for row in table.probs.tolist()],
+                "probs": _floattext.float_text(table.probs).astype(str).tolist(),
                 "complete_rows": [bool(b) for b in table.complete_rows],
-                "overflow": [repr(x) for x in table.overflow.tolist()],
+                "overflow": _floattext.float_text(table.overflow).astype(str).tolist(),
             }
             for method, table in sorted(result.tables.items())
         },

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._complex import cexp, circle, circle_polyval, clog, next_pow2
-from .dist import IncrementDistribution, pgf_eval, walk_pmfs
+from .dist import IncrementDistribution, walk_pmfs
 
 OUTER_RADIUS_CAP = 8.0
 OUTER_RADIUS_GRID = 400    # radii scanned by choose_outer_radius
@@ -128,6 +128,24 @@ def choose_outer_radius(dist: IncrementDistribution, v: float) -> RadiusCertific
     return RadiusCertificate(b=b, v=v, margin=math.exp(log_margin))
 
 
+def _kernel_ratio(dist: IncrementDistribution, b: float, nodes: int, k: np.ndarray) -> np.ndarray:
+    """A(w) / w^s at the nodes w = b t_k of circle(b, nodes), k an index array.
+
+    One scaled sum, never A(w) and w^s apart (b^s overflows at b = 8,
+    s = 450): A(w) / w^s = t^-s sum_j q_j t^j with q_j = p_j b^(j - s)
+    from log p_j + (j - s) log b, as in _log_ratio, and sum_j q_j =
+    A(b) / b^s is finite wherever an admissible radius is.  The sum is
+    Horner's rule at t_k = circle(1, nodes)[k], and t_k^-s is the node
+    -s k mod nodes, so an even node of 2N is the same number as its node
+    of N, to the bit.
+    """
+    j = np.flatnonzero(dist.pmf_a)
+    q = np.zeros(len(dist.pmf_a))
+    q[j] = np.exp(np.log(dist.pmf_a[j]) + (j - dist.s) * math.log(b))
+    unit = circle(1.0, nodes)
+    return np.polyval(q[::-1], unit[k]) * unit[-dist.s * k % nodes]
+
+
 def _plus_part(dist, u: np.ndarray, cert, quad, rho: float) -> np.ndarray:
     """Scaled plus-part coefficients a_k = c_k b^k, k < nodes / 2, a_0 = 0.
 
@@ -138,15 +156,16 @@ def _plus_part(dist, u: np.ndarray, cert, quad, rho: float) -> np.ndarray:
     sum_k |Delta a_k| (b^-k + (rho/b)^k) < quad.tol, which bounds the
     change of E(z) = sum_k c_k (1 - z^k) at every |z| <= rho; rows that
     converged at fewer nodes than the widest are padded with zeros.
-    circle(b, 2N)[::2] is circle(b, N) to the bit, so a doubling samples
-    only the N new odd nodes of the live rows and interleaves them with
-    the samples it holds: a row that stops at N nodes has been sampled at
-    N nodes, and A(w) and w^s serve every live row at each count.
+    _kernel_ratio's even nodes of 2N are its nodes of N to the bit, so a
+    doubling samples only the N new odd nodes of the live rows and
+    interleaves them with the samples it holds: a row that stops at N
+    nodes has been sampled at N nodes, and A(w)/w^s serves every live row
+    at each count.
     """
     b = cert.b
 
-    def log_kernel(w, live):
-        log_arg = 1.0 - u[live, None] * pgf_eval(dist, w) / w**dist.s
+    def log_kernel(nodes, k, live):
+        log_arg = 1.0 - u[live, None] * _kernel_ratio(dist, b, nodes, k)
         if np.any(log_arg.real <= 0.0):
             raise QuadratureError(
                 "principal branch unsafe: Re(1 - u A(w)/w^s) <= 0 on the contour"
@@ -162,11 +181,11 @@ def _plus_part(dist, u: np.ndarray, cert, quad, rho: float) -> np.ndarray:
     nodes = quad.nodes
     live = np.arange(len(u))
     rows = [None] * len(u)
-    samples = log_kernel(circle(b, nodes), live)
+    samples = log_kernel(nodes, np.arange(nodes), live)
     prev = plus(samples)
     for _ in range(quad.max_doublings):
         nodes *= 2
-        odd = log_kernel(circle(b, nodes)[1::2], live)
+        odd = log_kernel(nodes, np.arange(1, nodes, 2), live)
         both = np.empty((len(live), nodes), dtype=complex)
         both[:, ::2], both[:, 1::2] = samples, odd
         samples = both

@@ -375,6 +375,19 @@ class TestLargeS:
         assert [c.name for c in result.report.checks] == list(cli.CHECK_TOL)
         assert calls == []
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_pollaczek_where_b_to_the_s_overflows(self):
+        # binomial(1000, 0.1), s = 450 takes b = 8, and 8^450 overflows: the
+        # plus part forms u A(w)/w^s as one scaled sum, so pollaczek agrees
+        # with dp to roundoff and every check passes (it doubled to 2^20
+        # nodes and raised QuadratureError when A(w) and w^s came apart)
+        cfg = cli.parse_config("family = binomial\nn = 1000\np = 0.1\ns = 450\n"
+                               "methods = dp, pollaczek\nn_max = 6\n")
+        result = cli.run(cfg)
+        assert result.report.environment["radius_certificate"]["b"] == 8.0
+        assert result.report.all_passed, cli.render_report_text(result.report)
+        assert result.report.pairs[0].max_deviation < 1e-11
+
     def test_companion_limit_is_one_short_line(self, tmp_path, capsys):
         # binomial(1000, 0.5), s = 714: the companion finds 501 of the 714
         # in-disk roots, and the error names the two moduli around the gap
@@ -494,6 +507,28 @@ class TestRendering:
         ]
         assert payload["overflow"] == [cli._format_float(x) for x in overflow]
         assert payload["probs"][0][:4] == ["-0.0", "5e-324", "1e-300", "2.5e-310"]
+
+    def test_json_and_csv_agree_on_the_vectorized_route(self):
+        # tables past float_text's repr cutoff: the JSON cells and the CSV
+        # probabilities are the same strings, each the cell's repr
+        rng = np.random.default_rng(17)
+        probs = rng.random((30, 40)) * 10.0 ** rng.uniform(-320, 0, (30, 40))
+        probs[0, :6] = [-0.0, 5e-324, 1e-300, 2.5e-310, np.inf, 1e16]
+        probs[1, 3:] = 0.0
+        complete = rng.random(30) < 0.9
+        overflow = np.exp(rng.uniform(-800.0, 0.0, 30))
+        tables = {"dp": rw.DistributionTable(probs, "dp", complete, overflow),
+                  "spitzer": rw.DistributionTable(-probs, "spitzer", complete, overflow)}
+        report = cli.AgreementReport([], [], {})
+        result = cli.RunResult(tables, report)
+        payload = json.loads(cli.render_json(result))["tables"]
+        for name, t in tables.items():
+            assert payload[name]["probs"] == [[repr(x) for x in row] for row in t.probs.tolist()]
+            assert payload[name]["overflow"] == [repr(x) for x in overflow.tolist()]
+        want = [f"{n},{m},{name},{text}" for name in sorted(payload)
+                for n, row in enumerate(payload[name]["probs"]) if complete[n]
+                for m, text in enumerate(row)]
+        assert cli.render_csv(result).splitlines()[1:] == want
 
     def test_json_round_trips(self):
         result = cli.run(cli.parse_config(SIMPLE_CONFIG))

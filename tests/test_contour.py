@@ -303,25 +303,50 @@ class TestBatchedPlusPart:
 
     def test_each_node_is_sampled_once(self, simple, monkeypatch):
         # from 16 nodes, u = 0 stops at the first doubling and u = 0.6
-        # doubles on; A(w) is taken once per node count for every live row,
-        # at the new odd nodes only, so its points add up to the widest
+        # doubles on; A(w)/w^s is taken once per node count for every live
+        # row, at the new odd nodes only, so its points add up to the widest
         # row's node count, and that row is one full transform at that
         # count, to the bit
         cert = rw.choose_outer_radius(simple, 0.75)
         points = []
-        pgf = rw.contour.pgf_eval
+        ratio = rw.contour._kernel_ratio
         monkeypatch.setattr(
-            rw.contour, "pgf_eval", lambda d, w: points.append(w.size) or pgf(d, w)
+            rw.contour, "_kernel_ratio",
+            lambda d, b, nodes, k: points.append(k.size) or ratio(d, b, nodes, k),
         )
         quad = rw.CircleQuadrature(nodes=16)
         a = _plus_part(simple, np.array([0.0, 0.6]), cert, quad, 1.0)
         assert len(points) > 2
         assert sum(points) == 2 * a.shape[-1]
         assert not np.any(a[0])
-        w = circle(cert.b, 2 * a.shape[-1])
-        full = np.fft.fft(clog(1.0 - 0.6 * pgf(simple, w) / w**simple.s)) / w.size
+        nodes = 2 * a.shape[-1]
+        full = np.fft.fft(clog(1.0 - 0.6 * ratio(simple, cert.b, nodes, np.arange(nodes)))) / nodes
         full[0] = 0.0
         np.testing.assert_array_equal(a[1], full[: a.shape[-1]])
+
+    @pytest.mark.parametrize("law", sorted(STANDARD))
+    def test_kernel_ratio_is_the_quotient(self, law):
+        # the scaled sum is A(w)/w^s on |w| = b to within a few eps of its size
+        d = STANDARD[law]
+        cert = rw.choose_outer_radius(d, 0.75)
+        w = circle(cert.b, 64)
+        direct = rw.pgf_eval(d, w) / w**d.s
+        scaled = rw.contour._kernel_ratio(d, cert.b, 64, np.arange(64))
+        assert np.max(np.abs(scaled - direct)) <= 64 * EPS * np.max(np.abs(direct))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_plus_part_where_b_to_the_s_overflows(self):
+        # binomial(1000, 0.1), s = 450 takes b = 8 and 8^450 overflows: the
+        # scaled sum keeps u A(w)/w^s finite, and the plus part converges at
+        # the first node counts instead of doubling to 2^20 on NaN gaps
+        d = rw.make_family("binomial", 450, n=1000, p=0.1)
+        cert = rw.choose_outer_radius(d, cli.u_circle(6)[1])
+        assert cert.b == 8.0 and d.s * np.log(cert.b) > np.log(np.finfo(float).max)
+        u = np.array([0.0, 0.2, cert.v])
+        a = _plus_part(d, u, cert, rw.CircleQuadrature(), 1.0)
+        assert np.all(np.isfinite(a)) and a.shape[-1] <= 1024
+        grid = pollaczek_unit_grid(d, u, 16, cert, rw.CircleQuadrature())
+        np.testing.assert_allclose(grid[:, 0], 1.0 / (1.0 - u), rtol=1e-15)
 
     def test_nan_u_rejected_at_once(self, simple, quad):
         cert = rw.choose_outer_radius(simple, 0.5)

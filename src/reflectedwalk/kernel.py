@@ -19,14 +19,15 @@ the coefficients the expansion and the division pass through, which
 _certificate's expansion order keeps small.
 
 find_kernel_roots is the one entry point, for a scalar u or an array of
-them.  At u[0] it solves globally via companion-matrix eigenvalues, as
-np.roots does: one eigenvalue call, as a real matrix for a real u.  The
-s eigenvalues with |z| < 1 - IN_DISK_TOL, which must be s, are kept as
-they come, and must pass _accepted, the one in-disk and RESIDUAL_TOL test
-of companion and Newton rows alike, or KernelRootError names the u.  The
-companion's eigenvalues are backward stable as a set, the exact roots of
-one nearby polynomial, so their product is accurate even where single
-roots are not.
+them.  At u[0] it solves globally by np.roots, the companion matrix's
+eigenvalues, in real arithmetic for a real u.  The roots with
+|z| < 1 - IN_DISK_TOL, which must be s, are kept as they come, and must
+pass _accepted, the one in-disk and RESIDUAL_TOL test of companion and
+Newton rows alike, or KernelRootError names the u.  The companion's
+eigenvalues are backward stable as a set, the exact roots of one nearby
+polynomial, so their product is accurate even where single roots are
+not.  kernel_terms is the one evaluator of k and k' for Newton, _accepted
+and product_eval.
 
 The roots z_k(u) are analytic in u, so every other node of an array is
 seeded with z_k(u_0) (u/u_0)^(1/s), and Newton runs on all (u, root)
@@ -64,6 +65,7 @@ NEWTON_STEPS = 50          # cap on Newton's steps per root
 # companion's), and the u inversion's error bound (cli.u_circle_bound)
 # amplifies it
 ETA = 1e-15
+TABLE_ENTRIES = 1 << 20    # cap on one block of kernel_terms' power table
 
 
 class KernelRootError(RuntimeError):
@@ -104,86 +106,69 @@ def kernel_coeffs(dist: IncrementDistribution, u) -> np.ndarray:
     return c
 
 
-def kernel_eval(dist: IncrementDistribution, u: complex, w):
-    return w**dist.s - u * pgf_eval(dist, w)
+def kernel_terms(dist: IncrementDistribution, u, z):
+    """k(z) = z^s - u A(z) and k'(z), u broadcast against z of any shape.
 
-
-def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
-    """All roots of one row of ascending coefficients, as np.roots finds them.
-
-    Zero coefficients at either end are stripped: each zero at the low end
-    is a root at the origin, and u = 0 zeroes both ends.  A row whose
-    imaginary parts are all zero (every real u) is solved as a real matrix,
-    as np.roots solves a real polynomial: LAPACK's real eigensolver takes a
-    third to a half of the complex one's time.
+    One table of powers z^0 .. z^max(s, J) per block of at most
+    TABLE_ENTRIES entries, and two matrix-vector products: Newton evaluates
+    small arrays many times, where a Horner loop over the coefficients
+    would cost more than the arithmetic.
     """
-    nonzero = np.flatnonzero(coeffs)
-    lo, hi = nonzero[0], nonzero[-1]
-    p = coeffs[lo : hi + 1][::-1]
-    if not np.any(p.imag):
-        p = p.real
-    n = hi - lo
-    roots = np.zeros(hi, dtype=complex)
-    if n:
-        companion = np.diag(np.ones(n - 1, dtype=p.dtype), -1)
-        companion[0, :] = -p[1:] / p[0]
-        roots[:n] = np.linalg.eigvals(companion)
-    return roots
+    s, j_max, p = dist.s, dist.j_max, dist.pmf_a
+    z = np.asarray(z, dtype=complex)
+    flat = z.reshape(-1)
+    width = max(s, j_max) + 1
+    rows = max(1, TABLE_ENTRIES // width)
+    slope_p = np.arange(1, j_max + 1) * p[1:]
+    terms = np.empty((4, flat.size), dtype=complex)  # z^s, z^(s-1), A(z), A'(z)
+    for lo in range(0, flat.size, rows):
+        block, out = flat[lo : lo + rows], terms[:, lo : lo + rows]
+        powers = np.empty((block.size, width), dtype=complex)
+        powers[:, 0] = 1.0
+        powers[:, 1:] = block[:, None]
+        np.cumprod(powers, axis=1, out=powers)
+        out[0], out[1] = powers[:, s], powers[:, s - 1]
+        out[2], out[3] = powers[:, : j_max + 1] @ p, powers[:, :j_max] @ slope_p
+    z_s, z_s1, a, slope_a = terms.reshape((4,) + z.shape)
+    return z_s - u * a, s * z_s1 - u * slope_a
 
 
 def _accepted(dist, u, z):
     """Which rows of roots z (n, s) at u (n,) lie inside the disk and meet RESIDUAL_TOL."""
-    residuals = np.abs(kernel_eval(dist, u[:, None], z))
+    residuals = np.abs(kernel_terms(dist, u[:, None], z)[0])
     return np.all((np.abs(z) < 1.0 - IN_DISK_TOL) & (residuals <= RESIDUAL_TOL), axis=-1)
 
 
 def _companion_rows(dist: IncrementDistribution, us: np.ndarray) -> np.ndarray:
     """The s in-disk roots at each u of a 1-D array, shape (len(us), s).
 
-    One companion solve per u.  A u whose in-disk count is not s, or whose
-    roots miss RESIDUAL_TOL, raises KernelRootError naming that u.
+    One np.roots call per u, on real coefficients for a real u: LAPACK's
+    real eigensolver takes a third to a half of the complex one's time.  A
+    u whose in-disk count is not s, or whose roots miss RESIDUAL_TOL,
+    raises KernelRootError naming that u.
     """
     s = dist.s
-    cand = [_companion_roots(c) for c in kernel_coeffs(dist, us)]
-    flat = np.concatenate(cand)
-    inside = np.abs(flat) < 1.0 - IN_DISK_TOL
-    row = np.repeat(np.arange(len(us)), [len(c) for c in cand])
-    found = np.bincount(row[inside], minlength=len(us))
-    bad = found != s
-    if bad.any():
-        k = int(np.argmax(bad))
-        # the moduli on either side of the in-disk cut (0.0 or inf if none)
-        gap = np.concatenate([[0.0], np.sort(np.abs(cand[k])), [np.inf]])[found[k] : found[k] + 2]
-        raise KernelRootError(
-            f"expected {s} in-disk roots, found {found[k]} at u={us[k].item()!r}; largest "
-            f"in-disk modulus {gap[0].item()!r}, smallest outside {gap[1].item()!r}"
-        )
-    roots = flat[inside].reshape(len(us), s)
-    # deterministic ordering: by real part, then imaginary part
-    roots = np.take_along_axis(roots, np.lexsort((roots.imag, roots.real), axis=-1), axis=-1)
+    roots = np.empty((len(us), s), dtype=complex)
+    for k, c in enumerate(kernel_coeffs(dist, us)):
+        p = c[::-1]
+        z = np.roots(p if np.any(p.imag) else p.real)
+        inside = z[np.abs(z) < 1.0 - IN_DISK_TOL]
+        found = len(inside)
+        if found != s:
+            # the moduli on either side of the in-disk cut (0.0 or inf if none)
+            gap = np.concatenate([[0.0], np.sort(np.abs(z)), [np.inf]])[found : found + 2]
+            raise KernelRootError(
+                f"expected {s} in-disk roots, found {found} at u={us[k].item()!r}; largest "
+                f"in-disk modulus {gap[0].item()!r}, smallest outside {gap[1].item()!r}"
+            )
+        # deterministic ordering: by real part, then imaginary part
+        roots[k] = inside[np.lexsort((inside.imag, inside.real))]
     bad = ~_accepted(dist, us, roots)
     if bad.any():
         k = int(np.argmax(bad))
-        res = np.abs(kernel_eval(dist, us[k], roots[k])).tolist()
+        res = np.abs(kernel_terms(dist, us[k], roots[k])[0]).tolist()
         raise KernelRootError(f"root residuals exceed {RESIDUAL_TOL}: {res} at u={us[k].item()!r}")
     return roots
-
-
-def _kernel_terms(dist, u, z):
-    """k(z) and k'(z) at 1-D arrays u and z.
-
-    One table of powers z^0 .. z^max(s, J) and two matrix products: Newton
-    evaluates small arrays many times, where np.polyval's loop over the
-    coefficients would cost more than the arithmetic.
-    """
-    s, j_max, p = dist.s, dist.j_max, dist.pmf_a
-    powers = np.empty((z.size, max(s, j_max) + 1), dtype=complex)
-    powers[:, 0] = 1.0
-    powers[:, 1:] = z[:, None]
-    np.cumprod(powers, axis=1, out=powers)
-    k = powers[:, s] - u * (powers[:, : j_max + 1] @ p)
-    slope = s * powers[:, s - 1] - u * (powers[:, :j_max] @ (np.arange(1, j_max + 1) * p[1:]))
-    return k, slope
 
 
 def _certificate(dist, u, z):
@@ -210,13 +195,6 @@ def _certificate(dist, u, z):
     return np.sum(np.abs(rem[:, -s:]), axis=-1) / (1.0 - np.abs(u))
 
 
-def _gate(dist, u, z, bar):
-    """Which rows of z (n, s) at u (n,) pass _accepted and certify to eps <= bar."""
-    ok = _accepted(dist, u, z)
-    ok[ok] = _certificate(dist, u[ok], z[ok]) <= bar
-    return ok
-
-
 def _newton(dist, u, z):
     """Newton on 1-D arrays of (u, z) pairs, each to roundoff: |step| <= 4 eps |z|.
 
@@ -232,7 +210,7 @@ def _newton(dist, u, z):
     for _ in range(NEWTON_STEPS):
         if live.size == 0:
             break
-        kz, fp = _kernel_terms(dist, u[live], z[live])
+        kz, fp = kernel_terms(dist, u[live], z[live])
         exact = kz == 0
         done[live[exact]] = True
         moving = ~exact & (np.abs(kz) < 2.0 * np.abs(fp))
@@ -250,8 +228,9 @@ def find_kernel_roots(dist: IncrementDistribution, u) -> RootSet:
 
     Solves u[0] by its companion matrix, seeds every other node with
     z_k(u_0) (u/u_0)^(1/s), Newton-iterates all pairs to roundoff and keeps
-    the rows that converged and pass the gate with bar max(ETA, eps_0),
-    eps_0 being the certificate of u[0]'s roots (see the module docstring).
+    the rows that converged, pass _accepted and certify to eps <=
+    max(ETA, eps_0), eps_0 being the certificate of u[0]'s roots (see the
+    module docstring).
     The rest, or every row when u[0] = 0 leaves nothing to seed from, get
     their own companion solves.  Every row is ordered by real part, then
     imaginary part.  A companion row whose in-disk count is not s, or whose
@@ -273,7 +252,9 @@ def find_kernel_roots(dist: IncrementDistribution, u) -> RootSet:
         z, done = z.reshape(len(rest), s), done.reshape(len(rest), s).all(axis=-1)
         z = np.take_along_axis(z, np.lexsort((z.imag, z.real), axis=-1), axis=-1)
         bar = max(ETA, float(_certificate(dist, us[:1], roots[:1])[0]))
-        accepted = np.flatnonzero(done)[_gate(dist, rest[done], z[done], bar)]
+        accepted = np.flatnonzero(done)
+        accepted = accepted[_accepted(dist, rest[accepted], z[accepted])]
+        accepted = accepted[_certificate(dist, rest[accepted], z[accepted]) <= bar]
         roots[1 + accepted] = z[accepted]
         fallback[accepted] = False
     if fallback.any():
@@ -296,7 +277,7 @@ def product_eval(dist: IncrementDistribution, u, z, roots: RootSet):
     scale = np.maximum(np.abs(z_arr), 1.0)
     if np.any(np.abs(diff) < 1e-12 * scale[..., None]):
         raise ValueError("z coincides with a kernel root (within 1e-12 relative)")
-    denom = kernel_eval(dist, u_arr.reshape(u_arr.shape + expand), z_arr)
+    denom = kernel_terms(dist, u_arr.reshape(u_arr.shape + expand), z_arr)[0]
     out = np.prod(diff / (1.0 - r), axis=-1) / denom
     return out if out.ndim else complex(out)
 

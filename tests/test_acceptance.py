@@ -177,7 +177,7 @@ def test_criterion_7_root_quality(dists):
         roots = rw.find_kernel_roots(d, u)
         assert len(roots) == d.s
         assert roots.max_modulus < 1.0
-        assert np.all(np.abs(rw.kernel.kernel_eval(d, u, roots.roots)) <= 1e-10)
+        assert np.all(np.abs(rw.kernel.kernel_terms(d, u, roots.roots)[0]) <= 1e-10)
         if np.isrealobj(u) or u.imag == 0.0:
             sorted_roots = np.sort_complex(roots.roots)
             conj = np.sort_complex(np.conj(roots.roots))

@@ -8,7 +8,6 @@ from numpy.polynomial.polynomial import polyval2d
 
 import reflectedwalk as rw
 from reflectedwalk import cli, kernel
-from reflectedwalk.kernel import kernel_eval
 
 from conftest import standard_distributions
 
@@ -22,10 +21,14 @@ def _outer_root(simple, u):
     return complex(true_roots[np.abs(true_roots) > 1][0])
 
 
-def _fake_eigvals(monkeypatch, rows):
-    """Make the companion solves return `rows`, the next one per call."""
-    rows = iter(np.array(rows, dtype=complex, ndmin=2))
-    monkeypatch.setattr(np.linalg, "eigvals", lambda companion: next(rows))
+def _fake_roots(monkeypatch, rows):
+    """Make the companion solves' np.roots calls return `rows`, the next one per call."""
+    rows = iter([np.array(row, dtype=complex) for row in rows])
+    monkeypatch.setattr(np, "roots", lambda p: next(rows))
+
+
+def _residuals(d, u, z):
+    return np.abs(kernel.kernel_terms(d, u, z)[0])
 
 
 def _assert_same_sets(a, b, atol):
@@ -68,7 +71,7 @@ class TestFindKernelRoots:
         for d in dists.values():
             for u in (0.1, 0.5, 0.9):
                 rs = rw.find_kernel_roots(d, u)
-                assert np.all(np.abs(kernel_eval(d, u, rs.roots)) <= 1e-10)
+                assert np.all(_residuals(d, u, rs.roots) <= 1e-10)
 
     def test_conjugate_symmetry_for_real_u(self, dists):
         for d in dists.values():
@@ -89,13 +92,13 @@ class TestFindKernelRoots:
 
     def test_pushed_out_eigenvalue_raises(self, simple, monkeypatch):
         # kernel -w^2/4 + w - 1/4 at u = 0.5: roots 2 -+ sqrt(3); an in-disk
-        # eigenvalue pushed just outside the disk is returned as it comes,
-        # so the count comes up short
+        # root pushed just outside the disk is returned as it comes, so the
+        # count comes up short
         outer = _outer_root(simple, 0.5)
-        _fake_eigvals(monkeypatch, [outer, 1.0 + 0.5 * kernel.NEWTON_BAND])
+        _fake_roots(monkeypatch, [[outer, 1.0 + 0.5 * kernel.NEWTON_BAND]])
         with pytest.raises(rw.KernelRootError, match="expected 1 in-disk roots, found 0"):
             rw.find_kernel_roots(simple, 0.5)
-        _fake_eigvals(monkeypatch, [outer, 2.0 - np.sqrt(3.0)])
+        _fake_roots(monkeypatch, [[outer, 2.0 - np.sqrt(3.0)]])
         assert rw.find_kernel_roots(simple, 0.5).roots[0] == 2.0 - np.sqrt(3.0)
 
     def test_rouche_count_and_strict_interior(self, dists):
@@ -137,15 +140,18 @@ class TestBatchedRoots:
 
     @pytest.mark.parametrize("law", sorted(LAWS))
     def test_stacked_solve_matches_np_roots(self, law):
-        # np.roots is the reference for every row, u = 0 included, where
-        # both ends of the coefficients are stripped; so is it for
-        # P(A=0) = 0, whose zero low end is a root at the origin at every u.
-        # A real row is passed as real, as np.roots then solves it in real
-        # arithmetic
+        # each row is the in-disk subset of np.roots, ordered by real part,
+        # then imaginary part: u = 0 included, where both ends of the
+        # coefficients are stripped, and P(A=0) = 0, whose zero low end is a
+        # root at the origin at every u.  A real row is passed as real, as
+        # np.roots then solves it in real arithmetic
+        us = np.append(self.NODES, 0.0)
         for d in (self.LAWS[law], A0_ZERO):
-            for c in kernel.kernel_coeffs(d, np.append(self.NODES, 0.0)):
-                p = c[::-1] if np.any(c.imag) else c[::-1].real
-                np.testing.assert_array_equal(kernel._companion_roots(c), np.roots(p))
+            rows = kernel._companion_rows(d, us)
+            for row, c in zip(rows, kernel.kernel_coeffs(d, us)):
+                z = np.roots(c[::-1] if np.any(c.imag) else c[::-1].real)
+                inside = np.sort_complex(z[np.abs(z) < 1.0 - kernel.IN_DISK_TOL])
+                np.testing.assert_array_equal(row, inside)
 
     def test_u_zero_and_roots_at_origin_in_a_batch(self, dists):
         # u = 0 strips both ends of the kernel's coefficients, and P(A=0) = 0
@@ -158,34 +164,34 @@ class TestBatchedRoots:
             np.testing.assert_allclose(batch.roots[0], 0.0, atol=1e-12)
 
     def test_real_rows_solved_in_real_arithmetic(self, dists, monkeypatch):
-        # each real u makes one real eigenvalue call, each other u one
-        # complex call, and each row still equals its scalar call to the bit
+        # each real u makes one np.roots call on float64 coefficients, each
+        # other u one on complex coefficients, and each row still equals its
+        # scalar call to the bit
         d = dists["poisson"]
         us = np.array([0.25, 0.3j, 0.5, 0.5 * np.exp(0.3j)])
         expected = [rw.find_kernel_roots(d, u).roots for u in us]
         solved = []
-        eigvals = np.linalg.eigvals
-        monkeypatch.setattr(np.linalg, "eigvals",
-                            lambda a: solved.append((a.dtype, a.ndim)) or eigvals(a))
+        roots_of = np.roots
+        monkeypatch.setattr(np, "roots", lambda p: solved.append(p.dtype) or roots_of(p))
         roots = kernel._companion_rows(d, us)
-        assert solved == [(np.float64, 2), (np.complex128, 2)] * 2
+        assert solved == [np.float64, np.complex128] * 2
         for row, one in zip(roots, expected):
             np.testing.assert_array_equal(row, one)
 
     def test_batch_names_the_failing_u(self, simple, monkeypatch):
         # the count check of test_pushed_out_eigenvalue_raises, failing in
         # the middle row of a batch only.  u[0] = 0 makes every row a
-        # companion row, and its kernel w, stripped at both ends, needs no
-        # eigenvalue call: the faked rows serve u = 0.4 and 0.3
+        # companion row; its kernel w, stripped at both ends, has the one
+        # root 0, and the faked rows after it serve u = 0.4 and 0.3
         us = np.array([0.0, 0.4, 0.3])
         inside = (1 - np.sqrt(1 - us[1:] ** 2)) / us[1:]
-        rows = [[_outer_root(simple, u), z] for u, z in zip(us[1:], inside)]
-        rows[0][1] = 1.0 + 0.5 * kernel.NEWTON_BAND
-        _fake_eigvals(monkeypatch, rows)
+        rows = [[0.0]] + [[_outer_root(simple, u), z] for u, z in zip(us[1:], inside)]
+        rows[1][1] = 1.0 + 0.5 * kernel.NEWTON_BAND
+        _fake_roots(monkeypatch, rows)
         with pytest.raises(rw.KernelRootError, match=r"found 0 at u=0\.4;"):
             rw.find_kernel_roots(simple, us)
-        rows[0][1] = inside[0]
-        _fake_eigvals(monkeypatch, rows)
+        rows[1][1] = inside[0]
+        _fake_roots(monkeypatch, rows)
         rs = rw.find_kernel_roots(simple, us)
         np.testing.assert_array_equal(rs.roots[:, 0], np.append(0.0, inside))
 
@@ -194,7 +200,7 @@ class TestBatchedRoots:
             rw.find_kernel_roots(simple, np.array([0.5, 1.0]))
 
     def test_nan_u_rejected_at_once(self, simple):
-        # a nan compares False with 1 either way: it must not reach eigvals
+        # a nan compares False with 1 either way: it must not reach np.roots
         start = time.perf_counter()
         with pytest.raises(ValueError, match="< 1"):
             rw.find_kernel_roots(simple, np.nan)
@@ -252,7 +258,7 @@ class TestTrackKernelRoots:
             # rows keep the companion rows' order: by real part, then imaginary
             row = tracked.roots[k]
             np.testing.assert_array_equal(row, row[np.lexsort((row.imag, row.real))])
-        assert np.all(np.abs(kernel_eval(d, u[:, None], tracked.roots)) <= kernel.RESIDUAL_TOL)
+        assert np.all(_residuals(d, u[:, None], tracked.roots) <= kernel.RESIDUAL_TOL)
         assert tracked.max_modulus == np.max(np.abs(tracked.roots))
 
     FALLBACK = {
@@ -303,23 +309,29 @@ class TestTrackKernelRoots:
         for row, want in zip(tracked.roots, companion):
             _assert_same_sets(row, want, self.SET_TOL)
 
-    def test_gate_rejects_ill_conditioned_roots(self, dists):
+    def test_gate_rejects_ill_conditioned_roots(self, dists, monkeypatch):
         # poisson(45), s = 50 on the run's circle: Newton from the seeds ends
         # inside the disk, mostly within RESIDUAL_TOL, yet on root sets whose
         # F is off by up to a relative 1.1; their certificates read >= 2e-6
-        # against the companion's 3e-11 at u[0].  geometric(0.5)'s rows pass.
+        # against the companion's 3e-11 at u[0], and every row goes to the
+        # companion.  geometric(0.5)'s rows pass, and none does.
         u = self.ARRAYS["u-circle"]
+        solved = []
+        rows = kernel._companion_rows
+        monkeypatch.setattr(kernel, "_companion_rows",
+                            lambda d, u: solved.append(np.size(u)) or rows(d, u))
         for d, passes in ((self.FALLBACK["poisson-45-50"][0], False), (dists["geometric"], True)):
-            first = rw.find_kernel_roots(d, u[0]).roots
+            first = rows(d, u[:1])[0]
             turn = (u[1:] / u[0]) ** (1.0 / d.s)
             z, _ = kernel._newton(d, np.repeat(u[1:], d.s), (turn[:, None] * first).reshape(-1))
             z = z.reshape(len(u) - 1, d.s)
             assert np.all(np.abs(z) < 1.0 - kernel.IN_DISK_TOL)
-            residuals = np.abs(kernel_eval(d, u[1:, None], z))
+            residuals = _residuals(d, u[1:, None], z)
             assert np.sum(np.all(residuals <= kernel.RESIDUAL_TOL, axis=-1)) >= 14
-            bar = max(kernel.ETA, kernel._certificate(d, u[:1], first[None])[0])
-            assert np.all(kernel._gate(d, u[1:], z, bar) == passes)
             assert np.all((kernel._certificate(d, u[1:], z) > 1e-6) != passes)
+            solved.clear()
+            rw.find_kernel_roots(d, u)
+            assert solved == ([1] if passes else [1, len(u) - 1])
 
     def test_wrong_u_roots_fail_the_certificate(self):
         # binomial(200, 0.5), s = 99: the u = 0.25 roots scored at u = 0.5
@@ -328,7 +340,7 @@ class TestTrackKernelRoots:
         d = rw.make_family("binomial", 99, n=200, p=0.5)
         wrong, right = kernel._companion_rows(d, np.array([0.25, 0.5]))
         u = np.array([0.5, 0.5])
-        assert np.all(np.abs(kernel_eval(d, 0.5, wrong)) <= kernel.RESIDUAL_TOL)
+        assert np.all(_residuals(d, 0.5, wrong) <= kernel.RESIDUAL_TOL)
         eps_wrong, eps_right = kernel._certificate(d, u, np.array([wrong, right]))
         assert eps_wrong > 1e-3 and eps_right < 1e-8
 
@@ -337,23 +349,30 @@ class TestTrackKernelRoots:
         u = np.array([0.4, 0.4, 0.4])
         good = rw.find_kernel_roots(d, 0.4).roots
         z = np.array([good, [good[0], good[0]], [good[0], 1.5]])
-        bar = kernel._certificate(d, u[:1], good[None])[0]
-        assert kernel._gate(d, u, z, bar).tolist() == [True, False, False]
-        # the duplicate's residuals pass, its certificate does not
-        assert np.all(np.abs(kernel_eval(d, 0.4, z[1])) <= kernel.RESIDUAL_TOL)
-        assert kernel._certificate(d, u[1:2], z[1:2])[0] > 1e-3
+        # the outside root fails the in-disk test; the duplicate's residuals
+        # pass it, its certificate does not
+        assert kernel._accepted(d, u, z).tolist() == [True, True, False]
+        assert np.all(_residuals(d, 0.4, z[1]) <= kernel.RESIDUAL_TOL)
+        eps_good, eps_duplicate = kernel._certificate(d, u[:2], z[:2])
+        assert eps_good <= 1e-12 and eps_duplicate > 1e-3
 
     def test_one_predicate_for_companion_and_newton_rows(self, simple, monkeypatch):
         # simple walk at u = 0.5: the in-disk root 2 - sqrt(3) moved by 1e-9
         # misses RESIDUAL_TOL, as |k'| = 0.87 there.  A Newton row holding it
-        # fails the gate and goes to the companion; a companion row holding it
+        # fails the test and goes to the companion; a companion row holding it
         # raises, and the message lists its residual
         root = 2.0 - np.sqrt(3.0)
         u = np.array([0.5, 0.5])
         z = np.array([[root], [root + 1e-9]])
         assert kernel._accepted(simple, u, z).tolist() == [True, False]
-        assert kernel._gate(simple, u, z, 1.0).tolist() == [True, False]
-        _fake_eigvals(monkeypatch, [_outer_root(simple, 0.5), root + 1e-9])
+        solved = []
+        rows = kernel._companion_rows
+        monkeypatch.setattr(kernel, "_companion_rows",
+                            lambda d, u: solved.append(np.size(u)) or rows(d, u))
+        monkeypatch.setattr(kernel, "_newton", lambda d, u, z: (z + 1e-9, np.ones(z.shape, bool)))
+        np.testing.assert_array_equal(rw.find_kernel_roots(simple, u).roots, rows(simple, u))
+        assert solved == [1, 1]
+        _fake_roots(monkeypatch, [[_outer_root(simple, 0.5), root + 1e-9]])
         with pytest.raises(rw.KernelRootError,
                            match=r"residuals exceed 1e-10: \[8\.66\d*e-10\] at u=0\.5$"):
             rw.find_kernel_roots(simple, 0.5)
@@ -399,17 +418,17 @@ class TestTrackKernelRoots:
         d = rw.make_family("explicit", 400, probs=[1.0 / 1001] * 1001)
         z, done = kernel._newton(d, np.array([0.5, 0.5]), np.array([3.0, 0.5], dtype=complex))
         assert z[0] == 3.0 and done.tolist() == [False, True]
-        assert abs(kernel_eval(d, 0.5, z[1])) <= 1e-15
+        assert _residuals(d, 0.5, z[1]) <= 1e-15
 
     def test_one_companion_matrix_per_u_circle(self, dists, monkeypatch):
         # geometric(0.5), s = 1: one companion solve at u[0] serves all 17
         # nodes (one per node without Newton)
         solved = []
-        eigvals = np.linalg.eigvals
-        monkeypatch.setattr(np.linalg, "eigvals", lambda a: solved.append(a.ndim) or eigvals(a))
+        roots_of = np.roots
+        monkeypatch.setattr(np, "roots", lambda p: solved.append(p.size) or roots_of(p))
         cfg = cli.RunConfig(family="geometric", s=1, n_max=6, m_max=6)
         cli._compute_tables(dists["geometric"], cfg, ("product",), None)
-        assert solved == [2]
+        assert len(solved) == 1
 
     def test_row_is_the_scalar_root_set(self, dists):
         d = dists["poisson"]
@@ -425,6 +444,52 @@ class TestTrackKernelRoots:
         one = rw.find_kernel_roots(d, u[0])
         np.testing.assert_array_equal(rs.row(0).roots, one.roots)
         assert rs.row(0).max_modulus == one.max_modulus
+
+
+class TestKernelTerms:
+    """k(z) and k'(z) from one power table, u broadcast against z."""
+
+    LAWS = dict(standard_distributions(), large=rw.make_family("geometric", 20, p=0.05))
+
+    @staticmethod
+    def _horner(d, u, z):
+        """k and k' by np.polyval, and the moduli of their terms summed."""
+        a = d.pmf_a[::-1]
+        da = np.polyder(a)
+        z_abs, u_abs = np.abs(z), np.abs(u)
+        return (
+            (z**d.s - u * np.polyval(a, z), z_abs**d.s + u_abs * np.polyval(a, z_abs)),
+            (d.s * z ** (d.s - 1) - u * np.polyval(da, z),
+             d.s * z_abs ** (d.s - 1) + u_abs * np.polyval(da, z_abs)),
+        )
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_matches_horner(self, law):
+        # within 8 eps of the terms' moduli summed: a scalar, a row of roots
+        # per u, and a grid of u against one set of z (measured: 3 eps on
+        # geometric(0.05), J = 630, at most 1.4 eps on the others)
+        d = self.LAWS[law]
+        rng = np.random.default_rng(len(law))
+        u_grid = 0.95 * np.exp(2j * np.pi * rng.uniform(size=(5, 1)))
+        z_rows = rng.uniform(size=(5, d.s)) * np.exp(2j * np.pi * rng.uniform(size=(5, d.s)))
+        cases = ((0.5, 0.3 + 0.4j), (u_grid, z_rows), (u_grid, z_rows.reshape(-1)))
+        for u, z in cases:
+            got = kernel.kernel_terms(d, u, z)
+            assert got[0].shape == got[1].shape == np.broadcast(u, z).shape
+            for value, (want, scale) in zip(got, self._horner(d, u, z)):
+                assert np.all(np.abs(value - want) <= 8 * np.finfo(float).eps * scale)
+
+    @pytest.mark.parametrize("law", ["large", "poisson"])
+    def test_blocks_change_no_value(self, law, monkeypatch):
+        # a table cut into blocks of 7 points and a ragged last block gives
+        # the one-block values to the bit
+        d = self.LAWS[law]
+        u = 0.4 * np.exp(1j * np.arange(5))[:, None]
+        z = 0.9 * np.exp(2j * np.pi * np.arange(100) / 100)
+        one = kernel.kernel_terms(d, u, z)
+        monkeypatch.setattr(kernel, "TABLE_ENTRIES", 7 * (max(d.s, d.j_max) + 1) + 3)
+        for blocked, value in zip(kernel.kernel_terms(d, u, z), one):
+            np.testing.assert_array_equal(blocked, value)
 
 
 class TestProductEval:
@@ -501,7 +566,7 @@ class TestLogResidueCheck:
         z = 0.5 * (top + 1.0)
         a = 0.5 * (top + z)
         w = a * np.exp(2j * np.pi * np.arange(2048) / 2048)
-        assert np.min(np.abs(kernel_eval(d, 0.5, w))) < 1e-12
+        assert np.min(_residuals(d, 0.5, w)) < 1e-12
         lhs, rhs = rw.root_logresidue_check(d, 0.5)
         assert abs(lhs - rhs) <= 1e-8
 

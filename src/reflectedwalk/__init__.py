@@ -10,7 +10,6 @@ from .contour import (
     CircleQuadrature,
     QuadratureError,
     RadiusCertificate,
-    RadiusSearchError,
     choose_outer_radius,
     pollaczek_eval,
     verify_coeff_identity,
@@ -46,7 +45,6 @@ __all__ = [
     "CircleQuadrature",
     "QuadratureError",
     "RadiusCertificate",
-    "RadiusSearchError",
     "choose_outer_radius",
     "pollaczek_eval",
     "verify_coeff_identity",

@@ -13,7 +13,8 @@ line, ``#`` comments).  Recognized keys:
 The config sets the run; output goes on the command line (--output,
 --format, --verbose).  The u circle comes from n_max (u_circle); the outer
 contour radius is searched only for pollaczek; the structural checks read
-only the law and its kernel roots, with tolerances CHECK_TOL.
+only the law and its kernel roots, with tolerances CHECK_TOL.  A complex
+block above BLOCK_CAP elements stops the run before any table.
 
 Exit status is 0 iff every agreement pair and every structural check passes,
 1 if one fails, and 2 on a config, run or output error.
@@ -39,6 +40,8 @@ ALL_METHODS = ("dp", "spitzer", "product", "pollaczek")
 FUNCTIONAL_Z_GRID = cexp(1j * np.array([0.0, 1.0, 2.0, np.pi]))
 CHECK_TOL = {"functional-equation": 1e-11, "numerator": 1e-9,
              "coefficient-identity": 1e-10, "log-residue": 1e-8}
+# most complex elements in one array of a transform route: 2^26, 1 GiB
+BLOCK_CAP = 1 << 26
 
 
 class ConfigError(ValueError):
@@ -216,6 +219,18 @@ def _table(d, cfg: RunConfig, probs, method: str) -> oracle.DistributionTable:
     )
 
 
+def _z_nodes(d, cfg: RunConfig) -> int:
+    """nz, past both the full support of M_{n_max} and m_max."""
+    return next_pow2(max(cfg.n_max * d.support_growth, cfg.m_max) + 1)
+
+
+def _check_block(what: str, rows: int, cols: int) -> None:
+    """ValueError naming the shape and GiB of a complex block above BLOCK_CAP."""
+    if rows * cols > BLOCK_CAP:
+        raise ValueError(f"{what} needs a {rows} x {cols} complex block "
+                         f"({rows * cols / 2**26:.3g} GiB), above {BLOCK_CAP / 2**26:.3g} GiB")
+
+
 def _invert_transform(evaluator, d, cfg: RunConfig) -> np.ndarray:
     """Recover P(M_n = m) by Cauchy extraction in u then in z.
 
@@ -225,9 +240,9 @@ def _invert_transform(evaluator, d, cfg: RunConfig) -> np.ndarray:
     the block as arrays: the product route finds the kernel roots by one
     companion solve at u[0] and certified Newton rows at the other nodes
     (kernel.find_kernel_roots), and the Pollaczek route makes one
-    plus-part FFT per node count, each u row doubling its node count
-    until its own gap converges.  nz exceeds both the full support of
-    M_{n_max} and m_max, so the z inversion is alias-free; the u circle
+    plus-part FFT, its node count from the outer radius's bound.  nz
+    (_z_nodes) exceeds both the full support of M_{n_max} and m_max, so
+    the z inversion is alias-free; the u circle
     |u| = r with nu nodes comes from u_circle, whose docstring bounds its
     error.  Both extractions are one 2-D FFT, the u axis rescaled by r^-n.
 
@@ -238,7 +253,7 @@ def _invert_transform(evaluator, d, cfg: RunConfig) -> np.ndarray:
     """
     n_max, m_max = cfg.n_max, cfg.m_max
     nu, r_u = u_circle(n_max)
-    nz = next_pow2(max(n_max * d.support_growth, m_max) + 1)
+    nz = _z_nodes(d, cfg)
     half = nu // 2
     u_nodes = circle(r_u, nu)[: half + 1]
     z_nodes = circle(1.0, nz)
@@ -334,11 +349,17 @@ def run(config: RunConfig) -> RunResult:
     comparisons = len(methods) > 1 or any(m != "dp" for m in methods)
     if comparisons and "dp" not in methods:
         methods = ("dp",) + methods
-    # only the pollaczek table needs an outer radius.  Its certificate covers
-    # the u circle the inversion samples, and a search that finds no
-    # admissible radius raises before any table is built.
+    # every block is sized before any table is built.  Only pollaczek needs
+    # an outer radius; it covers the u circle the inversion samples.
     nu, r_u = u_circle(config.n_max)
-    cert = contour.choose_outer_radius(d, r_u) if "pollaczek" in methods else None
+    if {"product", "pollaczek"} & set(methods):
+        _check_block("the u/z inversion", nu, _z_nodes(d, config))
+    cert, contour_env = None, {}
+    if "pollaczek" in methods:
+        cert = contour.choose_outer_radius(d, r_u)
+        nodes, bound = contour.plus_part_nodes(cert, contour.CircleQuadrature())
+        _check_block("the Pollaczek plus part", nu // 2 + 1, nodes)
+        contour_env = {**asdict(cert), "nodes": nodes, "bound": bound}
     tables = _compute_tables(d, config, methods, cert)
     pairs = _compare_tables(tables, methods, config.tolerance) if comparisons else []
     checks = _structural_checks(d, tables["dp"]) if comparisons else []
@@ -350,7 +371,7 @@ def run(config: RunConfig) -> RunResult:
         "n_max": config.n_max,
         "m_max": config.m_max,
         "u_circle": {"radius": r_u, "nodes": nu, "bound": u_circle_bound(config.n_max)},
-        "radius_certificate": {} if cert is None else asdict(cert),
+        "radius_certificate": contour_env,
         "methods": list(methods),
     }
     return RunResult(tables=tables, report=AgreementReport(pairs, checks, env))
@@ -502,8 +523,8 @@ def main(argv=None) -> int:
 
     try:
         result = run(cfg)
-    except (ValueError, RuntimeError) as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
+    except (ValueError, RuntimeError, MemoryError) as exc:
+        print(f"run failed: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
     rendered = render_csv(result) if args.format == "csv" else render_json(result)

@@ -6,9 +6,9 @@ r^n times the n-th Laurent coefficient of f plus its aliases at n +- N.
 For a polynomial of degree below N there are no aliases, and the rule is
 Cauchy's formula exactly on every circle around 0, so the coefficient
 identity takes one transform on |w| = 1, of a length fixed by the degree.
-The outer radius b serves the Pollaczek route alone.  Its log kernel is no
-polynomial: its plus part doubles N until successive spectra agree, and it
-is the one adaptive loop here.
+The outer radius b serves the Pollaczek route alone: its log kernel is no
+polynomial, but analytic on an annulus that A and s fix, where the
+trapezoid rule's error bound sets N (plus_part_nodes) for one transform.
 
 The Pollaczek exponent is the Wiener-Hopf plus part of
 L(w) = ln(1 - u A(w)/w^s) on |w| = b: with L = sum_k c_k w^k there,
@@ -38,175 +38,154 @@ from ._complex import cexp, circle, circle_polyval, clog, next_pow2
 from .dist import IncrementDistribution, walk_pmfs
 
 OUTER_RADIUS_CAP = 8.0
-OUTER_RADIUS_GRID = 400    # radii scanned by choose_outer_radius
-MARGIN_SLACK = 1e-3
+EDGE_POINTS = 32           # radii per side and round of the annulus edge search
+NODE_CAP = 1 << 20         # most nodes the plus part may take
 
 
 class QuadratureError(RuntimeError):
-    """Quadrature failed to converge or a branch-safety check tripped."""
-
-
-class RadiusSearchError(RuntimeError):
-    """No admissible outer contour radius was found."""
+    """The plus part needs more than NODE_CAP nodes, or a branch-safety check tripped."""
 
 
 @dataclass(frozen=True)
 class CircleQuadrature:
-    """Doubling settings of the Pollaczek plus-part FFT on |w| = b."""
+    """Accuracy demand of the Pollaczek plus part: the bound on |Delta E| (plus_part_nodes)."""
 
-    nodes: int = 256
-    max_doublings: int = 12
     tol: float = 1e-12
 
     def __post_init__(self):
-        if self.nodes < 16 or self.nodes & (self.nodes - 1):
-            raise ValueError("nodes must be a power of two >= 16")
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be a positive finite number")
-        if self.max_doublings < 1:
-            raise ValueError("max_doublings must be >= 1")
 
 
 @dataclass(frozen=True)
 class RadiusCertificate:
-    """Outer radius b > 1 with a certified bound on |v A(w) / w^s|."""
+    """Outer radius b in the annulus t_lo <= |w| <= t_hi on which
+    |u A(w) / w^s| <= q = (1 + v) / 2 for every |u| <= v."""
 
     b: float
     v: float
-    margin: float
+    t_lo: float
+    t_hi: float
 
     def __post_init__(self):
-        if not self.b > 1.0:
-            raise ValueError("b must exceed 1")
         if not 0.0 < self.v < 1.0:
             raise ValueError("v must lie in (0, 1)")
-        if not self.margin <= 1.0 - MARGIN_SLACK:
-            raise ValueError(f"margin {self.margin!r} too close to 1")
+        if not 0.0 < self.t_lo < 1.0 < self.b < self.t_hi:
+            raise ValueError(f"need 0 < t_lo < 1 < b < t_hi, got {(self.t_lo, self.b, self.t_hi)}")
 
 
-def _log_ratio(dist: IncrementDistribution, b: np.ndarray) -> np.ndarray:
-    """log(A(b) / b^s) at each b of a 1-D array: a log-sum-exp of the finite
-    log p_j + (j - s) log b, in blocks of at most 2^20 terms, so nothing
-    overflows and a long law needs little memory."""
+def _log_ratio(dist: IncrementDistribution, x: np.ndarray) -> np.ndarray:
+    """f(x) = log(A(t) / t^s) at t = e^x, x a 1-D array: a log-sum-exp of
+    the finite log p_j + (j - s) x, so convex in x, in blocks of at most
+    2^20 terms, so nothing overflows and a long law needs little memory."""
     j = np.flatnonzero(dist.pmf_a)
-    out = []
-    for log_b in np.array_split(np.log(b), max(1, (b.size * j.size) >> 20)):
-        terms = np.log(dist.pmf_a[j]) + np.multiply.outer(log_b, j - dist.s)
+    log_p, rows = np.log(dist.pmf_a[j]), max(1, (1 << 20) // j.size)
+    out = np.empty(x.size)
+    for lo in range(0, x.size, rows):
+        terms = log_p + np.multiply.outer(x[lo : lo + rows], j - dist.s)
         top = terms.max(axis=-1)
-        out.append(top + np.log(np.exp(terms - top[:, None]).sum(axis=-1)))
-    return np.concatenate(out)
+        out[lo : lo + rows] = top + np.log(np.exp(terms - top[:, None]).sum(axis=-1))
+    return out
 
 
 def choose_outer_radius(dist: IncrementDistribution, v: float) -> RadiusCertificate:
-    """Outer radius b in (1, OUTER_RADIUS_CAP] with margin v A(b) / b^s <= 1 - MARGIN_SLACK.
+    """Outer radius b = sqrt(t_hi), t_lo < 1 < t_hi the edges of v A(t) / t^s <= q = (1 + v) / 2.
 
-    A has nonnegative coefficients, so v A(b) / b^s, read in logs by
-    _log_ratio, bounds |u A(w) / w^s| on |w| = b for |u| <= v.  A geometric
-    grid from 1.05 to the cap gives the b of the smallest margin; it starts
-    a margin above 1, as nearer 1 the circle nears the kernel zeros close
-    to the unit circle and the plus-part FFT needs more nodes.  Where no
-    grid radius is admissible, which needs J > s, b0 = ((1 - MARGIN_SLACK)
-    / v)^(1 / (2 (J - s))) is: A(b) / b^s <= b^(J - s) for b >= 1, so its
-    margin is at most sqrt(v (1 - MARGIN_SLACK)) < 1 - MARGIN_SLACK for
-    v < 1 - MARGIN_SLACK.  A larger v, or a b0 above the cap, raises
-    RadiusSearchError.
+    A has nonnegative coefficients, so v A(t) / t^s bounds |u A(w) / w^s|
+    on |w| = t for |u| <= v.  In log t the ratio is v e^f, f the convex
+    _log_ratio with f = log A(1) = 0 at t = 1, so the radii where it is at
+    most q form one interval around 1, which plus_part_nodes reads.  The
+    edges are searched in x = log2 t within +-2 log2(CAP), CAP =
+    OUTER_RADIUS_CAP, so b <= CAP; an edge past that is taken there.  Both
+    sides take one _log_ratio call per round: the dyadic grid x = +-2
+    log2(CAP) 2^-k, k < EDGE_POINTS, then EDGE_POINTS even steps inside the
+    bracket that leaves.  An edge is the outermost radius that passed,
+    short of the true edge by at most a 32nd of its x (an upper edge too
+    near 1 for both grids leaves t_hi = 1, which the certificate rejects).
     """
     if not 0.0 < v < 1.0:
         raise ValueError("v must lie in (0, 1)")
-    grid = np.geomspace(1.05, OUTER_RADIUS_CAP, OUTER_RADIUS_GRID)
-    logs = math.log(v) + _log_ratio(dist, grid)
-    best = int(np.argmin(logs))
-    b, log_margin = float(grid[best]), float(logs[best])
-    if log_margin > math.log1p(-MARGIN_SLACK) and dist.j_max > dist.s:
-        b = ((1.0 - MARGIN_SLACK) / v) ** (0.5 / (dist.j_max - dist.s))
-        log_margin = math.log(v) + float(_log_ratio(dist, np.array([b]))[0])
-    if not (1.0 < b <= OUTER_RADIUS_CAP and log_margin <= math.log1p(-MARGIN_SLACK)):
-        raise RadiusSearchError(
-            f"no admissible radius for v = {v}; best grid log ratio "
-            f"{float(logs[best])!r} at b = {float(grid[best])!r}"
-        )
-    return RadiusCertificate(b=b, v=v, margin=math.exp(log_margin))
+    limit = math.log(0.5 * (1.0 + v) / v)
+    top = 2.0 * math.log2(OUTER_RADIUS_CAP)
+    inside, outside = np.zeros(2), np.array([-top, top])
+    frac = 0.5 ** np.arange(EDGE_POINTS)
+    for _ in range(2):
+        # per side, outermost first; by convexity the innermost ones pass
+        x = inside[:, None] + (outside - inside)[:, None] * frac
+        fits = _log_ratio(dist, math.log(2.0) * x.ravel()).reshape(x.shape) <= limit
+        k = np.where(fits.any(axis=1), fits.argmax(axis=1), EDGE_POINTS)
+        x = np.hstack([x, inside[:, None]])
+        inside, outside = x[[0, 1], k], x[[0, 1], np.maximum(k - 1, 0)]
+        frac = 1.0 - np.arange(EDGE_POINTS) / EDGE_POINTS
+    t_lo, t_hi = np.exp2(inside).tolist()
+    return RadiusCertificate(b=math.sqrt(t_hi), v=v, t_lo=t_lo, t_hi=t_hi)
 
 
-def _kernel_ratio(dist: IncrementDistribution, b: float, nodes: int, k: np.ndarray) -> np.ndarray:
-    """A(w) / w^s at the nodes w = b t_k of circle(b, nodes), k an index array.
+def plus_part_nodes(cert: RadiusCertificate, quad: CircleQuadrature) -> tuple:
+    """Node count N of the plus part on |w| = b and its bound on |Delta E(z)|, |z| <= b.
+
+    On the certificate's annulus L(w) = ln(1 - u A(w)/w^s) is analytic
+    with |L| <= M = -ln(1 - q) = ln(2 / (1 - v)), as |ln(1 - x)| <=
+    -ln(1 - |x|).  So Cauchy's estimate on its two edges bounds the
+    Laurent coefficients scaled to |w| = b, a_k = c_k b^k, by
+    |a_k| <= M rho^|k|, rho = max(t_lo / b, b / t_hi).  N nodes give a_k,
+    0 < k < N/2, plus its aliases a_(k + jN), j != 0, and drop every
+    k >= N/2.  E(z) = sum_k a_k (b^-k - (z/b)^k), whose weights are at
+    most 2 for |z| <= b, is then off by at most 2 M rho^(N/2) / (1 - rho)
+    (the dropped tail) plus 4 M rho^(N/2 + 1) / ((1 - rho)(1 - rho^N))
+    (the aliases), so by at most
+
+        bound(N) = 6 M rho^(N/2) / ((1 - rho) (1 - rho^N))
+
+    (Trefethen & Weideman, SIAM Review 56, 2014), and F = exp(E) / (1 - u)
+    by a relative e^bound - 1; roundoff comes on top.  N is the smallest
+    power of two >= 16 with bound(N) <= quad.tol.  An N above NODE_CAP
+    raises QuadratureError.
+    """
+    big_m = math.log(2.0 / (1.0 - cert.v))
+    rho = max(cert.t_lo / cert.b, cert.b / cert.t_hi)
+    nodes = 16
+    while nodes <= NODE_CAP:
+        bound = 6.0 * big_m * rho ** (nodes // 2) / ((1.0 - rho) * (1.0 - rho**nodes))
+        if bound <= quad.tol:
+            return nodes, bound
+        nodes *= 2
+    raise QuadratureError(f"the plus part on |w| = {cert.b!r} needs more than "
+                          f"{NODE_CAP} nodes for tol {quad.tol!r}")
+
+
+def _kernel_ratio(dist: IncrementDistribution, b: float, nodes: int) -> np.ndarray:
+    """A(w) / w^s at the nodes w = b t_k of circle(b, nodes).
 
     One scaled sum, never A(w) and w^s apart (b^s overflows at b = 8,
     s = 450): A(w) / w^s = t^-s sum_j q_j t^j with q_j = p_j b^(j - s)
     from log p_j + (j - s) log b, as in _log_ratio, and sum_j q_j =
-    A(b) / b^s is finite wherever an admissible radius is.  The sum is
-    Horner's rule at t_k = circle(1, nodes)[k], and t_k^-s is the node
-    -s k mod nodes, so an even node of 2N is the same number as its node
-    of N, to the bit.
+    A(b) / b^s is finite wherever the radius is certified.  The sum is one
+    circle_polyval, and t_k^-s is the node -s k mod nodes.
     """
     j = np.flatnonzero(dist.pmf_a)
     q = np.zeros(len(dist.pmf_a))
     q[j] = np.exp(np.log(dist.pmf_a[j]) + (j - dist.s) * math.log(b))
     unit = circle(1.0, nodes)
-    return np.polyval(q[::-1], unit[k]) * unit[-dist.s * k % nodes]
+    return circle_polyval(q, nodes) * unit[-dist.s * np.arange(nodes) % nodes]
 
 
-def _plus_part(dist, u: np.ndarray, cert, quad, rho: float) -> np.ndarray:
-    """Scaled plus-part coefficients a_k = c_k b^k, k < nodes / 2, a_0 = 0.
+def _plus_part(dist, u: np.ndarray, cert, quad) -> np.ndarray:
+    """Scaled plus-part coefficients a_k = c_k b^k, k < N / 2, a_0 = 0.
 
-    Row i is for u[i], a 1-D array.  The first half of the spectrum
-    fft(L) / nodes of L(w) = ln(1 - u A(w)/w^s) on the nodes of |w| = b
-    holds the nonnegative Laurent indices, each times b^k.  The node count
-    doubles from quad.nodes, and row i keeps the first spectrum at which
-    sum_k |Delta a_k| (b^-k + (rho/b)^k) < quad.tol, which bounds the
-    change of E(z) = sum_k c_k (1 - z^k) at every |z| <= rho; rows that
-    converged at fewer nodes than the widest are padded with zeros.
-    _kernel_ratio's even nodes of 2N are its nodes of N to the bit, so a
-    doubling samples only the N new odd nodes of the live rows and
-    interleaves them with the samples it holds: a row that stops at N
-    nodes has been sampled at N nodes, and A(w)/w^s serves every live row
-    at each count.
+    Row i is for u[i], a 1-D array: the first half of fft(L) / N of
+    L(w) = ln(1 - u A(w)/w^s) on the N nodes of |w| = b, with one
+    A(w)/w^s for all rows.  plus_part_nodes' N serves every |u| <= v.
     """
-    b = cert.b
-
-    def log_kernel(nodes, k, live):
-        log_arg = 1.0 - u[live, None] * _kernel_ratio(dist, b, nodes, k)
-        if np.any(log_arg.real <= 0.0):
-            raise QuadratureError(
-                "principal branch unsafe: Re(1 - u A(w)/w^s) <= 0 on the contour"
-            )
-        return clog(log_arg)
-
-    def plus(samples):
-        nodes = samples.shape[-1]
-        a = (np.fft.fft(samples) / nodes)[:, : nodes // 2]
-        a[:, 0] = 0.0
-        return a
-
-    nodes = quad.nodes
-    live = np.arange(len(u))
-    rows = [None] * len(u)
-    samples = log_kernel(nodes, np.arange(nodes), live)
-    prev = plus(samples)
-    for _ in range(quad.max_doublings):
-        nodes *= 2
-        odd = log_kernel(nodes, np.arange(1, nodes, 2), live)
-        both = np.empty((len(live), nodes), dtype=complex)
-        both[:, ::2], both[:, 1::2] = samples, odd
-        samples = both
-        cur = plus(samples)
-        diff = cur.copy()
-        diff[:, : prev.shape[-1]] -= prev
-        k = np.arange(nodes // 2)
-        last = np.sum(np.abs(diff) * (b ** -k + (rho / b) ** k), axis=-1)
-        done = last < quad.tol
-        for i, row in zip(live[done].tolist(), cur[done]):
-            rows[i] = row
-        live, samples, prev, last = live[~done], samples[~done], cur[~done], last[~done]
-        if live.size == 0:
-            a = np.zeros((len(u), max(len(row) for row in rows)), dtype=complex)
-            for padded, row in zip(a, rows):
-                padded[: len(row)] = row
-            return a
-    raise QuadratureError(
-        f"no convergence after {quad.max_doublings} doublings "
-        f"(last gap {float(last[0])!r} at {nodes} nodes, tol {quad.tol!r})"
-    )
+    nodes = plus_part_nodes(cert, quad)[0]
+    log_arg = 1.0 - u[:, None] * _kernel_ratio(dist, cert.b, nodes)
+    if np.any(log_arg.real <= 0.0):
+        raise QuadratureError(
+            "principal branch unsafe: Re(1 - u A(w)/w^s) <= 0 on the contour"
+        )
+    a = (np.fft.fft(clog(log_arg)) / nodes)[:, : nodes // 2]
+    a[:, 0] = 0.0
+    return a
 
 
 def _check_u(u, cert: RadiusCertificate):
@@ -229,13 +208,13 @@ def pollaczek_eval(
     E(1) = 0 term by term, so F(u, 1) = 1/(1 - u) exactly and the w = 1 pole
     never enters.  The sum runs as sum_k a_k (b^-k - (z/b)^k), a_k = c_k b^k,
     with powers by cumulative products, so no power of |z| > 1 overflows.
+    plus_part_nodes' bound on E covers every |z| <= b, so every z here.
     """
     _check_u(u, cert)
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
     if not np.all(np.abs(z_arr) <= cert.b - 1e-6):
         raise ValueError(f"|z| must be <= b - 1e-6 with b = {cert.b}")
-    rho = max(1.0, float(np.max(np.abs(z_arr))))
-    a = _plus_part(dist, np.array([u]), cert, quad, rho)[0]
+    a = _plus_part(dist, np.array([u]), cert, quad)[0]
     k_max = len(a) - 1
     inv_b = np.cumprod(np.full(k_max, 1.0 / cert.b))
     ratios = np.broadcast_to((z_arr / cert.b)[:, None], (z_arr.size, k_max))
@@ -260,7 +239,7 @@ def pollaczek_unit_grid(
     """
     _check_u(u, cert)
     u_arr = np.asarray(u)
-    a = _plus_part(dist, u_arr.reshape(-1), cert, quad, rho=1.0)
+    a = _plus_part(dist, u_arr.reshape(-1), cert, quad)
     c = a * cert.b ** -np.arange(a.shape[-1])
     exponent = c.sum(axis=-1, keepdims=True) - circle_polyval(c, nz)
     exponent[:, 0] = 0.0

@@ -26,8 +26,8 @@ pass _accepted, the one in-disk and RESIDUAL_TOL test of companion and
 Newton rows alike, or KernelRootError names the u.  The companion's
 eigenvalues are backward stable as a set, the exact roots of one nearby
 polynomial, so their product is accurate even where single roots are
-not.  kernel_terms is the one evaluator of k and k' for Newton, _accepted
-and product_eval.
+not.  kernel_terms is the one evaluator of k and k' for Newton and
+_accepted; product_eval needs k alone, z^s - u A(z) with A by Horner.
 
 The roots z_k(u) are analytic in u, so every other node of an array is
 seeded with z_k(u_0) (u/u_0)^(1/s), and Newton runs on all (u, root)
@@ -277,7 +277,7 @@ def product_eval(dist: IncrementDistribution, u, z, roots: RootSet):
     scale = np.maximum(np.abs(z_arr), 1.0)
     if np.any(np.abs(diff) < 1e-12 * scale[..., None]):
         raise ValueError("z coincides with a kernel root (within 1e-12 relative)")
-    denom = kernel_terms(dist, u_arr.reshape(u_arr.shape + expand), z_arr)[0]
+    denom = z_arr**dist.s - u_arr.reshape(u_arr.shape + expand) * pgf_eval(dist, z_arr)
     out = np.prod(diff / (1.0 - r), axis=-1) / denom
     return out if out.ndim else complex(out)
 

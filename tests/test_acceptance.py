@@ -96,7 +96,7 @@ def test_criterion_3_pollaczek_vs_product(dists, simple):
     cert = rw.choose_outer_radius(simple, V_CAP)
     u, z = 0.5, 0.5
     ref = rw.pollaczek_eval(
-        simple, u, z, cert, rw.CircleQuadrature(nodes=1 << 14, tol=1e-13)
+        simple, u, z, cert, rw.CircleQuadrature(tol=1e-13)
     )
 
     def estimate(nodes):

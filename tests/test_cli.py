@@ -14,6 +14,10 @@ import reflectedwalk as rw
 from reflectedwalk import cli
 from reflectedwalk._complex import next_pow2
 
+from conftest import standard_distributions
+
+STANDARD = standard_distributions()
+
 SIMPLE_CONFIG = """\
 # simple symmetric walk
 family = explicit
@@ -234,6 +238,35 @@ class TestHalfCircle:
         assert np.all(np.abs(half - full) <= atol[:, None])
 
 
+class TestIndependence:
+    """No method builds its table from another route: each runs with the others stubbed out."""
+
+    ROUTES = {
+        "dp": [("oracle", "lindley_dp")],
+        "spitzer": [("series", "spitzer_series")],
+        "product": [("kernel", "find_kernel_roots"), ("kernel", "product_eval")],
+        "pollaczek": [("contour", "pollaczek_unit_grid"), ("contour", "pollaczek_eval")],
+    }
+
+    @pytest.mark.parametrize("method", sorted(ROUTES))
+    @pytest.mark.parametrize("law", sorted(STANDARD))
+    def test_table_without_the_other_routes(self, monkeypatch, law, method):
+        d = STANDARD[law]
+        cfg = cli.RunConfig(family=d.family, s=d.s, methods=(method,), n_max=6, m_max=12)
+        cert = rw.choose_outer_radius(d, cli.u_circle(cfg.n_max)[1]) if method == "pollaczek" else None
+        want = cli._compute_tables(d, cfg, (method,), cert)[method]
+
+        def stub(*args, **kwargs):
+            raise AssertionError("another route was called")
+
+        for other, names in self.ROUTES.items():
+            for module, name in names if other != method else ():
+                monkeypatch.setattr(getattr(rw, module), name, stub)
+        got = cli._compute_tables(d, cfg, (method,), cert)[method]
+        np.testing.assert_array_equal(got.probs, want.probs)
+        np.testing.assert_array_equal(got.complete_rows, want.complete_rows)
+
+
 class TestUCircle:
     """The u circle comes from n_max, with a per-cell error bound."""
 
@@ -283,6 +316,7 @@ class TestUCircle:
         result = cli.run(cli.parse_config(SIMPLE_CONFIG.replace("spitzer", "pollaczek")))
         env = json.loads(cli.render_json(result))["report"]["environment"]
         assert env["radius_certificate"]["v"] == r
+        assert set(env["radius_certificate"]) == {"b", "v", "t_lo", "t_hi", "nodes", "bound"}
 
 
 def _poisson_config(lam, s, methods, n_max, m_max=None):
@@ -318,15 +352,20 @@ class TestHeavyTraffic:
     @pytest.mark.parametrize("methods", ["dp, spitzer", "dp, pollaczek"],
                              ids=["spitzer", "pollaczek"])
     def test_contour_checks_on_the_fallback_radius(self, methods):
-        # positive drift: no grid radius is admissible, the fallback b0 is;
-        # the log-residue check runs although |k(w)| on its contour is
-        # ~1e-20, as that is not small against |w|^s + u A(|w|)
+        # positive drift: the annulus's upper edge lies near 1, so b does
+        # (1.0055) and the plus part takes 16384 nodes; the log-residue check
+        # runs although |k(w)| on its contour is ~1e-20, as that is not
+        # small against |w|^s + u A(|w|)
         result = cli.run(_poisson_config(100.0, 50, methods, 6))
         assert result.report.all_passed, cli.render_report_text(result.report)
         for check in result.report.checks:
             assert check.passed and np.isfinite(check.residual)
         cert = result.report.environment["radius_certificate"]
-        assert (1.0 < cert["b"] < 1.05) if "pollaczek" in methods else cert == {}
+        if "pollaczek" in methods:
+            assert 1.0 < cert["b"] < 1.01 and cert["nodes"] == 16384
+            assert cert["bound"] <= rw.CircleQuadrature().tol
+        else:
+            assert cert == {}
 
     def test_gate_sends_ill_conditioned_roots_to_the_companion(self):
         # poisson(45), s = 50: Newton roots seeded from u[0] mostly meet
@@ -344,16 +383,33 @@ class TestHeavyTraffic:
         assert result.report.all_passed
 
     def test_comparison_without_radius_fails_at_once(self, tmp_path, capsys):
-        # zero drift at n_max = 4096: v = 0.99906 > 1 - MARGIN_SLACK, so no
-        # radius is admissible and a pollaczek run exits before it builds a
-        # table
+        # zero drift at n_max = 4096: the u/z inversion would hold a
+        # 32768 x 8192 complex block, 4 GiB, so a pollaczek run exits before
+        # it builds a table, with one line naming the block
         path = tmp_path / "run.cfg"
         path.write_text(SIMPLE_CONFIG.replace("n_max = 8", "n_max = 4096")
                         .replace("spitzer", "pollaczek"))
         start = time.perf_counter()
         assert cli.main(["--config", str(path)]) == 2
         assert time.perf_counter() - start < 1.0
-        assert "no admissible radius" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "run failed: the u/z inversion needs a 32768 x 8192 complex block (4 GiB), above 1 GiB\n")
+
+    @pytest.mark.parametrize("family,s,params,n_max,elements", [
+        ("explicit", 1, {"probs": [0.5, 0.0, 0.5]}, 4096, 1 << 28),
+        ("poisson", 2, {"lam": 1.2}, 400, 1 << 24),
+        ("geometric", 20, {"p": 0.05}, 60, 1 << 24),
+    ])
+    def test_inversion_block_against_the_cap(self, family, s, params, n_max, elements):
+        d = rw.make_family(family, s, **params)
+        cfg = cli.RunConfig(family=family, s=s, n_max=n_max, m_max=n_max)
+        nu, nz = cli.u_circle(n_max)[0], cli._z_nodes(d, cfg)
+        assert nu * nz == elements
+        if elements > cli.BLOCK_CAP:
+            with pytest.raises(ValueError, match=f"{nu} x {nz} complex block"):
+                cli._check_block("the u/z inversion", nu, nz)
+        else:
+            cli._check_block("the u/z inversion", nu, nz)
 
 
 class TestLargeS:
@@ -612,6 +668,18 @@ class TestMain:
         assert cli.main(["--config", cfg_path, "--output", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("output error") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 2.5 GiB")])
+    def test_memory_error_exit_two(self, tmp_path, capsys, monkeypatch, error):
+        # out of memory is a run error: one line and exit 2, not a traceback
+        # and exit 1, which a failed check owns
+        def run(cfg):
+            raise error
+
+        monkeypatch.setattr(cli, "run", run)
+        assert cli.main(["--config", self._write(tmp_path, SIMPLE_CONFIG)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"run failed: {str(error) or 'MemoryError'}\n"
 
     def test_empty_methods_key_exit_two(self, tmp_path, capsys):
         cfg_path = self._write(

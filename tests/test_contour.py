@@ -12,7 +12,6 @@ from reflectedwalk import cli
 from reflectedwalk._complex import circle, clog
 from reflectedwalk.contour import (
     QuadratureError,
-    RadiusSearchError,
     _plus_part,
     pollaczek_unit_grid,
 )
@@ -29,61 +28,77 @@ def quad():
 
 
 class TestCircleQuadrature:
-    @pytest.mark.parametrize("nodes", [8, 100, 0])
-    def test_invalid_nodes_rejected(self, nodes):
-        with pytest.raises(ValueError):
-            rw.CircleQuadrature(nodes=nodes)
-
-    def test_no_doublings_rejected(self):
-        with pytest.raises(ValueError, match="max_doublings"):
-            rw.CircleQuadrature(max_doublings=0)
-
     @pytest.mark.parametrize("tol", [0.0, -1e-12, float("inf"), float("nan")])
     def test_invalid_tol_rejected(self, tol):
-        # inf would pass every gap at once, nan none: neither is a tolerance
+        # inf would pass every bound at once, nan none: neither is a tolerance
         with pytest.raises(ValueError, match="tol"):
             rw.CircleQuadrature(tol=tol)
 
 
+def _exact_ratio(d, v, t):
+    """v A(t) / t^s in 60-digit decimal arithmetic, where no power overflows."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        ratio = sum(decimal.Decimal(float(p)) * decimal.Decimal(t) ** (j - d.s)
+                    for j, p in enumerate(d.pmf_a) if p)
+        return float(decimal.Decimal(v) * ratio)
+
+
 class TestChooseOuterRadius:
+    @staticmethod
+    def _edges_are_tight(d, cert):
+        # v A(t)/t^s <= q at both edges; an edge short of the search's cap
+        # is short of the true one by at most a 32nd of its log2, so the
+        # ratio reaches q within that
+        q = 0.5 * (1.0 + cert.v)
+        assert cert.b == np.sqrt(cert.t_hi)
+        for t, cap in ((cert.t_lo, 1.0 / 64.0), (cert.t_hi, 64.0)):
+            assert _exact_ratio(d, cert.v, t) <= q * (1.0 + 1e-14)
+            if t != cap:
+                assert _exact_ratio(d, cert.v, 2.0 ** (np.log2(t) * 32.0 / 31.0)) >= q
+
     def test_trivial_pgf_takes_large_radius(self):
         d = rw.make_family("deterministic", 1, c=0)  # A(z) = 1
         cert = rw.choose_outer_radius(d, 0.5)
-        assert cert.b > 1.0
-        assert cert.margin == pytest.approx(0.5 / cert.b)
-        assert cert.margin <= 1.0 - 1e-3
+        # v / t <= q = 0.75 from t = 2/3 on, up to the cap
+        assert cert.b == 8.0 and cert.t_hi == 64.0
+        assert np.log2(2.0 / 3.0) <= np.log2(cert.t_lo) <= np.log2(2.0 / 3.0) * 31.0 / 32.0
+        self._edges_are_tight(d, cert)
 
     def test_constant_ratio_family(self, dists):
-        # A identically s makes v A(b)/b^s = v for every b
+        # A identically s makes v A(t)/t^s = v < q for every t: both edges
+        # sit at the search's caps
         d = dists["a-equals-s"]
         cert = rw.choose_outer_radius(d, 0.75)
-        assert cert.margin == pytest.approx(0.75, abs=1e-12)
+        assert (cert.t_lo, cert.b, cert.t_hi) == (1.0 / 64.0, 8.0, 64.0)
 
     def test_simple_walk_admissible(self, simple):
+        # v (1 + t^2) / (2 t) = q at t = q/v -+ sqrt((q/v)^2 - 1)
         cert = rw.choose_outer_radius(simple, 0.5)
-        assert 1.0 < cert.b < 2.0 + np.sqrt(3.0)
-        assert cert.margin == pytest.approx(
-            0.5 * (1 + cert.b**2) / (2 * cert.b), rel=1e-12
-        )
+        ratio = 0.75 / 0.5
+        for t, exact in ((cert.t_lo, ratio - np.sqrt(ratio**2 - 1.0)),
+                         (cert.t_hi, ratio + np.sqrt(ratio**2 - 1.0))):
+            assert abs(np.log2(exact)) * 31.0 / 32.0 <= abs(np.log2(t)) <= abs(np.log2(exact))
+        self._edges_are_tight(simple, cert)
 
     def test_respects_analyticity_radius(self, dists):
-        # the grid reaches past 1 / (1 - p) = 2, the pole of the untruncated
-        # geometric pgf; the truncated polynomial grows like (b / 2)^J there,
-        # so the smallest margin lies below it
+        # past 1 / (1 - p) = 2, the pole of the untruncated geometric pgf,
+        # the truncated polynomial grows like (t / 2)^J: the upper edge
+        # lies below it
         cert = rw.choose_outer_radius(dists["geometric"], 0.75)
-        assert cert.b < 2.0
+        assert cert.t_hi < 2.0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_grid_radii_are_inadmissible(self):
-        # geometric(0.05), s = 20, J = 630: A(b) overflows at the top of the
-        # grid, where its ratio, read in logs, is huge but finite; no grid
-        # radius is admissible, and b0, below the untruncated pole
-        # 1 / (1 - p), serves
+        # geometric(0.05), s = 20, J = 630: A(t) overflows at the outer
+        # radii of the search's grid, where the ratio, read in logs, is huge
+        # but finite; the upper edge lies below the untruncated pole
+        # 1 / (1 - p)
         d = rw.make_family("geometric", 20, p=0.05)
-        v = cli.u_circle(6)[1]
-        cert = rw.choose_outer_radius(d, v)
-        assert cert.b == ((1.0 - rw.contour.MARGIN_SLACK) / v) ** (0.5 / (d.j_max - d.s))
-        assert 1.0 < cert.b < 1.0 / 0.95
+        cert = rw.choose_outer_radius(d, cli.u_circle(6)[1])
+        assert 1.0 < cert.b < cert.t_hi < 1.0 / 0.95
+        assert cert.b == pytest.approx(1.019, abs=1e-3)
+        self._edges_are_tight(d, cert)
 
     def test_inadmissible_v_rejected(self, simple):
         with pytest.raises(ValueError):
@@ -95,46 +110,97 @@ class TestChooseOuterRadius:
         ("poisson", 50, {"lam": 200.0}),
         ("deterministic", 1, {"c": 40}),
     ])
-    def test_fallback_radius_admissible(self, family, s, params, n_max):
-        # positive drift: no grid radius passes, b0 = ((1 - slack) / v)^(1 / (2 (J - s)))
-        # does, with margin at most sqrt(v (1 - slack)): equal to it for A(w) =
-        # w^J, up to the rounding of b0's power
+    def test_radius_for_every_v(self, family, s, params, n_max):
+        # positive drift and v up to 0.99906: the annulus narrows towards
+        # |w| = 1 as v nears 1, but it is never empty
         d = rw.make_family(family, s, **params)
-        v = cli.u_circle(n_max)[1]
-        slack = rw.contour.MARGIN_SLACK
-        cert = rw.choose_outer_radius(d, v)
-        assert cert.b == ((1.0 - slack) / v) ** (0.5 / (d.j_max - s))
-        assert 1.0 < cert.b < 1.05
-        # the margin is a log-sum-exp, a few eps from Horner's ratio
-        assert cert.margin == pytest.approx(v * rw.pgf_eval(d, cert.b) / cert.b**s, rel=1e-13)
-        assert cert.margin <= np.sqrt(v * (1.0 - slack)) * (1.0 + 1e-12) < 1.0 - slack
+        cert = rw.choose_outer_radius(d, cli.u_circle(n_max)[1])
+        assert cert.t_lo < 1.0 < cert.b < cert.t_hi
+        self._edges_are_tight(d, cert)
 
-    @staticmethod
-    def _exact_margin(d, v, b):
-        # v A(b) / b^s in 60-digit decimal arithmetic, where no power overflows
-        with decimal.localcontext() as ctx:
-            ctx.prec = 60
-            ratio = sum(decimal.Decimal(float(p)) * decimal.Decimal(b) ** (j - d.s)
-                        for j, p in enumerate(d.pmf_a) if p)
-            return float(decimal.Decimal(v) * ratio)
+    def test_zero_drift_radius_near_one(self, simple):
+        # v = 0.99906 at n_max = 4096: v (1 + t^2) / (2 t) <= (1 + v) / 2
+        # within |t - 1| of about sqrt(1 - v)
+        cert = rw.choose_outer_radius(simple, cli.u_circle(4096)[1])
+        assert 1.01 < cert.b < 1.02
+        self._edges_are_tight(simple, cert)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("s,p,b", [(714, 0.5, 2.494), (450, 0.1, 8.0)])
+    @pytest.mark.parametrize("s,p,b", [(714, 0.5, 2.65), (450, 0.1, 8.0)])
     def test_large_s_binomial_in_logs(self, s, p, b):
-        # A(b) and b^s both overflow on part of the grid: their quotient
-        # read NaN (p = 0.5) or 0.0 (p = 0.1); in logs the margin is the
-        # tiny positive number it is
+        # A(t) and t^s both overflow on part of the search's grid: their
+        # quotient read NaN (p = 0.5) or 0.0 (p = 0.1); in logs the ratio at
+        # b is the tiny positive number it is
         d = rw.make_family("binomial", s, n=1000, p=p)
         v = cli.u_circle(6)[1]
         cert = rw.choose_outer_radius(d, v)
         assert cert.b == pytest.approx(b, abs=1e-3)
-        assert 0.0 < cert.margin < 1e-40
-        assert cert.margin == pytest.approx(self._exact_margin(d, v, cert.b), rel=1e-12)
+        at_b = v * np.exp(rw.contour._log_ratio(d, np.log([cert.b])))[0]
+        assert 0.0 < at_b < 1e-40
+        assert at_b == pytest.approx(_exact_ratio(d, v, cert.b), rel=1e-12)
+        self._edges_are_tight(d, cert)
 
-    def test_no_radius_above_the_slack(self, simple):
-        # zero drift: v A(b)/b^s >= v > 1 - MARGIN_SLACK at every b > 1
-        with pytest.raises(RadiusSearchError, match="no admissible radius"):
-            rw.choose_outer_radius(simple, cli.u_circle(4096)[1])
+
+NEAR_CRITICAL = {
+    "geometric-0.05-2": ("geometric", 2, {"p": 0.05}),
+    "geometric-0.05-20": ("geometric", 20, {"p": 0.05}),
+    "poisson-100-50": ("poisson", 50, {"lam": 100.0}),
+    "binomial-200-99": ("binomial", 99, {"n": 200, "p": 0.5}),
+    "binomial-1000-450": ("binomial", 450, {"n": 1000, "p": 0.1}),
+}
+
+
+def _law(name):
+    if name in STANDARD:
+        return STANDARD[name]
+    family, s, params = NEAR_CRITICAL[name]
+    return rw.make_family(family, s, **params)
+
+
+class TestPlusPartNodes:
+    """N and its bound come from the certificate: no sample is taken to find them."""
+
+    V6 = cli.u_circle(6)[1]
+
+    @pytest.mark.parametrize("law,nodes", [
+        ("simple-walk", 128), ("binomial", 64), ("poisson", 128), ("geometric", 256),
+        ("a-equals-s", 32), ("a-zero", 32), ("geometric-0.05-2", 8192),
+        ("geometric-0.05-20", 4096), ("poisson-100-50", 16384), ("binomial-200-99", 1024),
+        ("binomial-1000-450", 32),
+    ])
+    def test_node_counts(self, law, nodes):
+        # on the n_max = 6 circle; each bound meets the default tol 1e-12
+        cert = rw.choose_outer_radius(_law(law), self.V6)
+        got, bound = rw.contour.plus_part_nodes(cert, rw.CircleQuadrature())
+        assert got == nodes and bound <= 1e-12
+
+    def test_smallest_power_of_two_under_tol(self, simple):
+        cert = rw.choose_outer_radius(simple, 0.75)
+        nodes, bound = rw.contour.plus_part_nodes(cert, rw.CircleQuadrature(tol=1e-13))
+        m, rho = np.log(2.0 / 0.25), 1.0 / cert.b
+        for n, below in ((nodes, True), (nodes // 2, False)):
+            assert (6.0 * m * rho ** (n // 2) / ((1.0 - rho) * (1.0 - rho**n)) <= 1e-13) == below
+        assert bound == pytest.approx(
+            6.0 * m * rho ** (nodes // 2) / ((1.0 - rho) * (1.0 - rho**nodes)), rel=1e-12)
+
+    @pytest.mark.parametrize("law", sorted(STANDARD) + sorted(NEAR_CRITICAL))
+    def test_exponent_within_the_bound(self, law):
+        # E from N nodes against E from 4N, at three u of the n_max = 6 half
+        # circle and at z on |z| = 1 and near |z| = b: the gap is the rule's
+        # error, within its bound plus roundoff
+        d = _law(law)
+        cert = rw.choose_outer_radius(d, self.V6)
+        nodes, bound = rw.contour.plus_part_nodes(cert, rw.CircleQuadrature())
+        us = self.V6 * np.exp(1j * np.pi * np.array([0.0, 0.5, 1.0]))
+        zs = np.array([1.0, -1.0, 1j, np.exp(0.3j)]) * np.array([[1.0], [cert.b - 1e-6]])
+
+        def exponent(n):
+            ratio = rw.contour._kernel_ratio(d, cert.b, n)
+            a = (np.fft.fft(clog(1.0 - us[:, None] * ratio)) / n)[:, 1 : n // 2]
+            k = np.arange(1, n // 2)
+            return (cert.b ** -k - (zs.reshape(-1, 1) / cert.b) ** k) @ a.T
+
+        assert np.max(np.abs(exponent(nodes) - exponent(4 * nodes))) <= bound + 1e-15
 
 
 class TestPollaczekEval:
@@ -174,18 +240,20 @@ class TestPollaczekEval:
             rw.pollaczek_eval(simple, u, z, cert, quad)
         assert time.perf_counter() - start < 1.0
 
-    def test_non_convergence_reported(self, simple):
-        cert = rw.choose_outer_radius(simple, 0.75)
-        starved = rw.CircleQuadrature(nodes=16, max_doublings=1, tol=1e-15)
-        with pytest.raises(QuadratureError, match="doubling"):
-            rw.pollaczek_eval(simple, 0.6, 0.9, cert, starved)
+    def test_non_convergence_reported(self, simple, monkeypatch):
+        # v = 1 - 1e-6 puts b within 5e-4 of 1, where tol 1e-300 needs more
+        # than 2^20 nodes: that raises before any sample is taken
+        cert = rw.choose_outer_radius(simple, 1.0 - 1e-6)
+        monkeypatch.setattr(rw.contour, "_kernel_ratio", None)
+        with pytest.raises(QuadratureError, match="more than 1048576 nodes"):
+            rw.pollaczek_eval(simple, 0.6, 0.9, cert, rw.CircleQuadrature(tol=1e-300))
 
     def test_doubling_at_least_squares_error(self, simple):
         # geometric convergence of the trapezoid rule on the circle
         cert = rw.choose_outer_radius(simple, 0.75)
         u, z = 0.5, 0.5
         ref = rw.pollaczek_eval(
-            simple, u, z, cert, rw.CircleQuadrature(nodes=1 << 14, tol=1e-13)
+            simple, u, z, cert, rw.CircleQuadrature(tol=1e-13)
         )
 
         def estimate(nodes):
@@ -245,9 +313,9 @@ class TestPlusPart:
                 assert grid[0] == 1.0 / (1.0 - u)
 
     def test_starved_grid_raises(self, simple):
-        cert = rw.choose_outer_radius(simple, 0.75)
-        starved = rw.CircleQuadrature(nodes=16, max_doublings=1, tol=1e-15)
-        with pytest.raises(QuadratureError, match="doubling"):
+        cert = rw.choose_outer_radius(simple, 1.0 - 1e-6)
+        starved = rw.CircleQuadrature(tol=1e-300)
+        with pytest.raises(QuadratureError, match="nodes"):
             pollaczek_unit_grid(simple, 0.6, 64, cert, starved)
 
     def test_outside_unit_disk(self, dists, quad):
@@ -275,54 +343,23 @@ class TestBatchedPlusPart:
             one = pollaczek_unit_grid(d, u, 32, cert, quad)
             assert np.max(np.abs(grid[k] - one)) <= 1e-15
 
-    @pytest.mark.parametrize("law", ["simple-walk", "poisson"])
-    def test_rows_converge_at_their_own_node_count(self, law):
-        # from 16 nodes, u = 0.05, 0.3 and 0.7 stop at different counts
-        d = STANDARD[law]
-        cert = rw.choose_outer_radius(d, 0.75)
-        quad = rw.CircleQuadrature(nodes=16)
-        us = np.array([0.05, 0.3, 0.7])
-        alone = [_plus_part(d, us[k : k + 1], cert, quad, 1.0)[0] for k in range(len(us))]
-        assert len({len(a) for a in alone}) > 1
-        batch = _plus_part(d, us, cert, quad, 1.0)
-        assert batch.shape[-1] == max(len(a) for a in alone)
-        for row, a in zip(batch, alone):
-            np.testing.assert_array_equal(row[: len(a)], a)
-            assert not np.any(row[len(a) :])
-        grid = pollaczek_unit_grid(d, us, 64, cert, quad)
-        for k, u in enumerate(us):
-            assert np.max(np.abs(grid[k] - pollaczek_unit_grid(d, u, 64, cert, quad))) <= 1e-15
-
-    def test_batch_with_one_starved_row_raises(self, simple):
-        # u = 0 converges at once (L = 0); u = 0.6 cannot in one doubling
-        cert = rw.choose_outer_radius(simple, 0.75)
-        starved = rw.CircleQuadrature(nodes=16, max_doublings=1, tol=1e-15)
-        assert not np.any(pollaczek_unit_grid(simple, 0.0, 64, cert, starved) - 1.0)
-        with pytest.raises(QuadratureError, match="doubling"):
-            pollaczek_unit_grid(simple, np.array([0.0, 0.6]), 64, cert, starved)
-
     def test_each_node_is_sampled_once(self, simple, monkeypatch):
-        # from 16 nodes, u = 0 stops at the first doubling and u = 0.6
-        # doubles on; A(w)/w^s is taken once per node count for every live
-        # row, at the new odd nodes only, so its points add up to the widest
-        # row's node count, and that row is one full transform at that
-        # count, to the bit
+        # A(w)/w^s is taken once, at the N nodes plus_part_nodes sets, for
+        # every row; each row is one full transform at N, to the bit
         cert = rw.choose_outer_radius(simple, 0.75)
-        points = []
+        quad = rw.CircleQuadrature()
+        nodes = rw.contour.plus_part_nodes(cert, quad)[0]
+        calls = []
         ratio = rw.contour._kernel_ratio
         monkeypatch.setattr(
-            rw.contour, "_kernel_ratio",
-            lambda d, b, nodes, k: points.append(k.size) or ratio(d, b, nodes, k),
+            rw.contour, "_kernel_ratio", lambda d, b, n: calls.append(n) or ratio(d, b, n),
         )
-        quad = rw.CircleQuadrature(nodes=16)
-        a = _plus_part(simple, np.array([0.0, 0.6]), cert, quad, 1.0)
-        assert len(points) > 2
-        assert sum(points) == 2 * a.shape[-1]
+        a = _plus_part(simple, np.array([0.0, 0.6]), cert, quad)
+        assert calls == [nodes] and a.shape == (2, nodes // 2)
         assert not np.any(a[0])
-        nodes = 2 * a.shape[-1]
-        full = np.fft.fft(clog(1.0 - 0.6 * ratio(simple, cert.b, nodes, np.arange(nodes)))) / nodes
+        full = np.fft.fft(clog(1.0 - 0.6 * ratio(simple, cert.b, nodes))) / nodes
         full[0] = 0.0
-        np.testing.assert_array_equal(a[1], full[: a.shape[-1]])
+        np.testing.assert_array_equal(a[1], full[: nodes // 2])
 
     @pytest.mark.parametrize("law", sorted(STANDARD))
     def test_kernel_ratio_is_the_quotient(self, law):
@@ -331,19 +368,19 @@ class TestBatchedPlusPart:
         cert = rw.choose_outer_radius(d, 0.75)
         w = circle(cert.b, 64)
         direct = rw.pgf_eval(d, w) / w**d.s
-        scaled = rw.contour._kernel_ratio(d, cert.b, 64, np.arange(64))
+        scaled = rw.contour._kernel_ratio(d, cert.b, 64)
         assert np.max(np.abs(scaled - direct)) <= 64 * EPS * np.max(np.abs(direct))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_plus_part_where_b_to_the_s_overflows(self):
         # binomial(1000, 0.1), s = 450 takes b = 8 and 8^450 overflows: the
-        # scaled sum keeps u A(w)/w^s finite, and the plus part converges at
-        # the first node counts instead of doubling to 2^20 on NaN gaps
+        # scaled sum keeps u A(w)/w^s finite, and the plus part takes few
+        # nodes
         d = rw.make_family("binomial", 450, n=1000, p=0.1)
         cert = rw.choose_outer_radius(d, cli.u_circle(6)[1])
         assert cert.b == 8.0 and d.s * np.log(cert.b) > np.log(np.finfo(float).max)
         u = np.array([0.0, 0.2, cert.v])
-        a = _plus_part(d, u, cert, rw.CircleQuadrature(), 1.0)
+        a = _plus_part(d, u, cert, rw.CircleQuadrature())
         assert np.all(np.isfinite(a)) and a.shape[-1] <= 1024
         grid = pollaczek_unit_grid(d, u, 16, cert, rw.CircleQuadrature())
         np.testing.assert_allclose(grid[:, 0], 1.0 / (1.0 - u), rtol=1e-15)
@@ -395,15 +432,15 @@ class TestVerifyCoeffIdentity:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("j_max", [400, 1000])
     def test_overflowing_power_of_b(self, j_max):
-        # a subnormal last atom puts the Pollaczek radius b where b^J
-        # overflows; on |w| = 1 no power of the radius is taken at all.
+        # a subnormal last atom puts the Pollaczek radius b where b^(2J) =
+        # t_hi^J overflows; on |w| = 1 no power of the radius is taken at all.
         # Every S_l = k + l, k >= 1, needs that atom: each pmf is 0.0
         probs = np.zeros(j_max + 1)
         probs[:2] = 0.7, 0.3
         probs[j_max] = 1e-320
         d = rw.make_family("explicit", 1, probs=probs)
         cert = rw.choose_outer_radius(d, cli.u_circle(6)[1])
-        assert j_max * np.log(cert.b) > np.log(np.finfo(float).max)
+        assert 2 * j_max * np.log(cert.b) > np.log(np.finfo(float).max)
         integrals, pmfs = rw.verify_coeff_identity(d, np.array([1, 2, 4]), np.array([1, 3]))
         assert np.all(pmfs == 0.0)
         assert np.max(np.abs(integrals - pmfs)) <= 1e-15

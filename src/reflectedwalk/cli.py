@@ -13,8 +13,10 @@ line, ``#`` comments).  Recognized keys:
 The config sets the run; output goes on the command line (--output,
 --format, --verbose).  The u circle comes from n_max (u_circle); the outer
 contour radius is searched only for pollaczek; the structural checks read
-only the law and its kernel roots, with tolerances CHECK_TOL.  A complex
-block above BLOCK_CAP elements stops the run before any table.
+only the law and its kernel roots, with tolerances CHECK_TOL.  Each
+transform route builds one (nu/2 + 1, nz) half block of F, which one real
+inverse FFT inverts (_invert_transform).  A complex block above BLOCK_CAP
+elements stops the run before any table.
 
 Exit status is 0 iff every agreement pair and every structural check passes,
 1 if one fails, and 2 on a config, run or output error.
@@ -231,38 +233,25 @@ def _check_block(what: str, rows: int, cols: int) -> None:
                          f"({rows * cols / 2**26:.3g} GiB), above {BLOCK_CAP / 2**26:.3g} GiB")
 
 
-def _invert_transform(evaluator, d, cfg: RunConfig) -> np.ndarray:
+def _invert_transform(half: np.ndarray, cfg: RunConfig) -> np.ndarray:
     """Recover P(M_n = m) by Cauchy extraction in u then in z.
 
-    evaluator(u_nodes, z_nodes) is called once, with the whole array of u
-    nodes and z_nodes the nz-th roots of unity in order, and returns the
-    (len(u_nodes), nz) block F(u_i, z_j).  The transform routes evaluate
-    the block as arrays: the product route finds the kernel roots by one
-    companion solve at u[0] and certified Newton rows at the other nodes
-    (kernel.find_kernel_roots), and the Pollaczek route makes one
-    plus-part FFT, its node count from the outer radius's bound.  nz
-    (_z_nodes) exceeds both the full support of M_{n_max} and m_max, so
-    the z inversion is alias-free; the u circle
-    |u| = r with nu nodes comes from u_circle, whose docstring bounds its
-    error.  Both extractions are one 2-D FFT, the u axis rescaled by r^-n.
+    half is a transform route's (nu/2 + 1, nz) block F(u_k, z_j): the u
+    nodes k = 0 .. nu/2 of u_circle(n_max), where Im u >= 0, by the nz-th
+    roots of unity in order.  nz (_z_nodes) exceeds both the full support
+    of M_{n_max} and m_max, so the z inversion is alias-free; u_circle's
+    docstring bounds the u inversion's error.
 
-    The law is real, so F(conj u, conj z) = conj F(u, z): the evaluator gets
-    only the u nodes k = 0 .. nu/2, where Im u >= 0, and row nu - k is
-    conj(row k) read at z index (-j) mod nz, since conj u_k = u_{nu-k} and
-    conj z_j = z_{-j}.
+    [u^n z^m] F = r^-n / (nu nz) sum_kj F(u_k, z_j) exp(-2 pi i (kn/nu + jm/nz))
+    is real, so it is the inverse 2-D DFT of conj F.  As the law is real,
+    F(conj u, conj z) = conj F(u, z), with conj u_k = u_{nu-k} and
+    conj z_j = z_{-j}: conj F on the whole circle is Hermitian, half holds
+    it, and one real inverse FFT, its halved axis the u axis, reads the
+    table from half alone.
     """
-    n_max, m_max = cfg.n_max, cfg.m_max
-    nu, r_u = u_circle(n_max)
-    nz = _z_nodes(d, cfg)
-    half = nu // 2
-    u_nodes = circle(r_u, nu)[: half + 1]
-    z_nodes = circle(1.0, nz)
-    samples = np.empty((nu, nz), dtype=complex)
-    samples[: half + 1] = evaluator(u_nodes, z_nodes)
-    samples[half + 1 :] = np.conj(samples[half - 1 : 0 : -1, -np.arange(nz)])
-    # [u^n z^m] F = r_u^-n / (nu nz) sum_ij F(u_i, z_j) exp(-2 pi i (in/nu + jm/nz))
-    coeffs = np.fft.fft2(samples)[: n_max + 1, : m_max + 1] / (nu * nz)
-    return np.real(coeffs) * (r_u ** -np.arange(n_max + 1))[:, None]
+    nu, r_u = u_circle(cfg.n_max)
+    coeffs = np.fft.irfftn(np.conj(half), s=(half.shape[1], nu), axes=(1, 0))
+    return coeffs[: cfg.n_max + 1, : cfg.m_max + 1] * (r_u ** -np.arange(cfg.n_max + 1))[:, None]
 
 
 def _compute_tables(d, cfg: RunConfig, methods, cert) -> dict:
@@ -272,22 +261,17 @@ def _compute_tables(d, cfg: RunConfig, methods, cert) -> dict:
     if "spitzer" in methods:
         f = series.spitzer_series(d, order_cap=max(cfg.n_max, 1), degree_cap=cfg.m_max)
         tables["spitzer"] = _table(d, cfg, f[: cfg.n_max + 1], "spitzer")
+    # the transform routes share the u nodes with Im u >= 0 and nz
+    nu, r_u = u_circle(cfg.n_max)
+    u_nodes = circle(r_u, nu)[: nu // 2 + 1]
+    nz = _z_nodes(d, cfg)
     if "product" in methods:
-
-        def product_evaluator(u_nodes, z_nodes):
-            roots = kernel.find_kernel_roots(d, u_nodes)
-            return kernel.product_eval(d, u_nodes, z_nodes, roots)
-
-        probs = _invert_transform(product_evaluator, d, cfg)
+        roots = kernel.find_kernel_roots(d, u_nodes)
+        probs = _invert_transform(kernel.product_eval(d, u_nodes, circle(1.0, nz), roots), cfg)
         tables["product"] = _table(d, cfg, probs, "product-inversion")
     if "pollaczek" in methods:
-        quad = contour.CircleQuadrature()
-
-        def pollaczek_evaluator(u_nodes, z_nodes):
-            return contour.pollaczek_unit_grid(d, u_nodes, len(z_nodes), cert, quad)
-
-        probs = _invert_transform(pollaczek_evaluator, d, cfg)
-        tables["pollaczek"] = _table(d, cfg, probs, "pollaczek-inversion")
+        half = contour.pollaczek_unit_grid(d, u_nodes, nz, cert, contour.CircleQuadrature())
+        tables["pollaczek"] = _table(d, cfg, _invert_transform(half, cfg), "pollaczek-inversion")
     return tables
 
 
@@ -353,7 +337,7 @@ def run(config: RunConfig) -> RunResult:
     # an outer radius; it covers the u circle the inversion samples.
     nu, r_u = u_circle(config.n_max)
     if {"product", "pollaczek"} & set(methods):
-        _check_block("the u/z inversion", nu, _z_nodes(d, config))
+        _check_block("the u/z inversion", nu // 2 + 1, _z_nodes(d, config))
     cert, contour_env = None, {}
     if "pollaczek" in methods:
         cert = contour.choose_outer_radius(d, r_u)

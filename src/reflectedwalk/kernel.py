@@ -267,18 +267,28 @@ def product_eval(dist: IncrementDistribution, u, z, roots: RootSet):
     """F(u, z) from the root-product representation.
 
     u is a scalar or an array with roots from find_kernel_roots(dist, u);
-    z is a scalar or an array.  The result has shape u.shape + z.shape.
+    z is a scalar or an array.  The result has shape u.shape + z.shape, the
+    largest array the call holds: the factors (z - z_k) / (1 - z_k)
+    multiply into it one root at a time, through two scratch arrays of its
+    shape, and the denominator z^s - u A(z) takes two more after them.
     """
     u_arr = np.asarray(u)
     z_arr = np.asarray(z, dtype=complex)
     expand = (1,) * z_arr.ndim
     r = roots.roots.reshape(u_arr.shape + expand + roots.roots.shape[-1:])
-    diff = z_arr[..., None] - r
-    scale = np.maximum(np.abs(z_arr), 1.0)
-    if np.any(np.abs(diff) < 1e-12 * scale[..., None]):
-        raise ValueError("z coincides with a kernel root (within 1e-12 relative)")
-    denom = z_arr**dist.s - u_arr.reshape(u_arr.shape + expand) * pgf_eval(dist, z_arr)
-    out = np.prod(diff / (1.0 - r), axis=-1) / denom
+    near = 1e-12 * np.maximum(np.abs(z_arr), 1.0)
+    out = np.ones(u_arr.shape + z_arr.shape, dtype=complex)
+    factor, spare = np.empty_like(out), np.empty_like(out)
+    for k in range(r.shape[-1]):
+        np.subtract(z_arr, r[..., k], out=factor)
+        if np.any(np.abs(factor) < near):
+            raise ValueError("z coincides with a kernel root (within 1e-12 relative)")
+        np.divide(factor, 1.0 - r[..., k], out=factor)
+        # into the other array: numpy runs an in-place complex product of one
+        # element through its scalar loop, which rounds unlike its array loop
+        out, spare = np.multiply(out, factor, out=spare), out
+    del factor, spare
+    out /= z_arr**dist.s - u_arr.reshape(u_arr.shape + expand) * pgf_eval(dist, z_arr)
     return out if out.ndim else complex(out)
 
 

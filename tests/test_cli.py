@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import reflectedwalk as rw
 from reflectedwalk import cli
-from reflectedwalk._complex import next_pow2
+from reflectedwalk._complex import circle, next_pow2
 
 from conftest import standard_distributions
 
@@ -215,25 +215,39 @@ class TestHalfCircle:
             "pollaczek": lambda u, z: rw.contour.pollaczek_unit_grid(d, u, len(z), cert, quad),
         }
 
-    def test_upper_half_nodes_only(self, dists):
+    def test_upper_half_nodes_only(self, dists, monkeypatch):
+        # each transform route samples the nu/2 + 1 nodes with Im u >= 0, once
         d = dists["poisson"]
-        calls = []
-        evaluator = self._evaluators(d, self.CFG)["product"]
-        cli._invert_transform(lambda u, z: calls.append(u) or evaluator(u, z), d, self.CFG)
-        assert len(calls) == 1
-        assert len(calls[0]) == 32 // 2 + 1
-        assert all(np.imag(u) >= 0 for u in calls[0])
+        cfg = cli.RunConfig(family="poisson", s=d.s, n_max=6, m_max=6)
+        nu, r = cli.u_circle(cfg.n_max)
+        cert = rw.choose_outer_radius(d, r)
+        calls = defaultdict(list)
+        for module, name in ((rw.kernel, "find_kernel_roots"), (rw.contour, "pollaczek_unit_grid")):
+
+            def record(d, u, *args, _real=getattr(module, name), _name=name):
+                calls[_name].append(np.array(u))
+                return _real(d, u, *args)
+
+            monkeypatch.setattr(module, name, record)
+        cli._compute_tables(d, cfg, ("product", "pollaczek"), cert)
+        upper = r * np.exp(2j * np.pi * np.arange(nu // 2 + 1) / nu)
+        assert sorted(calls) == ["find_kernel_roots", "pollaczek_unit_grid"]
+        for (u,) in calls.values():
+            assert u.shape == (32 // 2 + 1,) and np.all(u.imag >= 0)
+            np.testing.assert_allclose(u, upper, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("law", ["geometric", "poisson"])
     @pytest.mark.parametrize("method", ["product", "pollaczek"])
     def test_matches_full_circle(self, dists, law, method):
         d = dists[law]
         evaluator = self._evaluators(d, self.CFG)[method]
-        half = cli._invert_transform(evaluator, d, self.CFG)
+        nu, r = cli.u_circle(self.CFG.n_max)
+        nz = cli._z_nodes(d, self.CFG)
+        half = cli._invert_transform(evaluator(circle(r, nu)[: nu // 2 + 1], circle(1.0, nz)),
+                                     self.CFG)
         full = self._full_circle(evaluator, d, self.CFG)
         # 1e-14 on the circle |u| = 1/2: row n is rescaled by r^-n, so the
         # same sample-level agreement reads 1e-14 (1/2 / r)^n on |u| = r
-        r = cli.u_circle(self.CFG.n_max)[1]
         atol = 1e-14 * (0.5 / r) ** np.arange(self.CFG.n_max + 1)
         assert np.all(np.abs(half - full) <= atol[:, None])
 
@@ -384,8 +398,8 @@ class TestHeavyTraffic:
 
     def test_comparison_without_radius_fails_at_once(self, tmp_path, capsys):
         # zero drift at n_max = 4096: the u/z inversion would hold a
-        # 32768 x 8192 complex block, 4 GiB, so a pollaczek run exits before
-        # it builds a table, with one line naming the block
+        # 16385 x 8192 complex half block, 2 GiB, so a pollaczek run exits
+        # before it builds a table, with one line naming the block
         path = tmp_path / "run.cfg"
         path.write_text(SIMPLE_CONFIG.replace("n_max = 8", "n_max = 4096")
                         .replace("spitzer", "pollaczek"))
@@ -393,23 +407,24 @@ class TestHeavyTraffic:
         assert cli.main(["--config", str(path)]) == 2
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err == (
-            "run failed: the u/z inversion needs a 32768 x 8192 complex block (4 GiB), above 1 GiB\n")
+            "run failed: the u/z inversion needs a 16385 x 8192 complex block (2 GiB), above 1 GiB\n")
 
     @pytest.mark.parametrize("family,s,params,n_max,elements", [
-        ("explicit", 1, {"probs": [0.5, 0.0, 0.5]}, 4096, 1 << 28),
-        ("poisson", 2, {"lam": 1.2}, 400, 1 << 24),
-        ("geometric", 20, {"p": 0.05}, 60, 1 << 24),
+        ("explicit", 1, {"probs": [0.5, 0.0, 0.5]}, 4096, 16385 * 8192),
+        ("poisson", 2, {"lam": 1.2}, 400, 1025 * 8192),
+        ("geometric", 20, {"p": 0.05}, 60, 129 * 65536),
     ])
     def test_inversion_block_against_the_cap(self, family, s, params, n_max, elements):
+        # the half block: the nu/2 + 1 u nodes with Im u >= 0 by nz
         d = rw.make_family(family, s, **params)
         cfg = cli.RunConfig(family=family, s=s, n_max=n_max, m_max=n_max)
-        nu, nz = cli.u_circle(n_max)[0], cli._z_nodes(d, cfg)
-        assert nu * nz == elements
+        rows, nz = cli.u_circle(n_max)[0] // 2 + 1, cli._z_nodes(d, cfg)
+        assert rows * nz == elements
         if elements > cli.BLOCK_CAP:
-            with pytest.raises(ValueError, match=f"{nu} x {nz} complex block"):
-                cli._check_block("the u/z inversion", nu, nz)
+            with pytest.raises(ValueError, match=f"{rows} x {nz} complex block"):
+                cli._check_block("the u/z inversion", rows, nz)
         else:
-            cli._check_block("the u/z inversion", nu, nz)
+            cli._check_block("the u/z inversion", rows, nz)
 
 
 class TestLargeS:

@@ -1,5 +1,6 @@
 import dataclasses
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from numpy.polynomial.polynomial import polyval2d
 
 import reflectedwalk as rw
 from reflectedwalk import cli, kernel
+from reflectedwalk._complex import circle
 
 from conftest import standard_distributions
 
@@ -524,6 +526,24 @@ class TestProductEval:
         vec = rw.product_eval(simple, 0.5, zs, rs)
         for z, v in zip(zs, vec):
             assert v == pytest.approx(rw.product_eval(simple, 0.5, z, rs))
+
+    def test_memory_on_the_run_grid(self):
+        # geometric(0.05), s = 20 over the n_max = 12 half circle (33 u) by
+        # nz = 8192: the factors multiply into the (33, 8192) product one
+        # root at a time, so the peak stays within 4 times the output
+        d = rw.make_family("geometric", 20, p=0.05)
+        nu, r = cli.u_circle(12)
+        u = circle(r, nu)[: nu // 2 + 1]
+        z = circle(1.0, 8192)
+        roots = rw.find_kernel_roots(d, u)
+        tracemalloc.start()
+        try:
+            out = rw.product_eval(d, u, z, roots)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (33, 8192)
+        assert peak <= 4 * out.nbytes
 
 
 class TestLogResidueCheck:

@@ -243,15 +243,17 @@ def _invert_transform(half: np.ndarray, cfg: RunConfig) -> np.ndarray:
     docstring bounds the u inversion's error.
 
     [u^n z^m] F = r^-n / (nu nz) sum_kj F(u_k, z_j) exp(-2 pi i (kn/nu + jm/nz))
-    is real, so it is the inverse 2-D DFT of conj F.  As the law is real,
-    F(conj u, conj z) = conj F(u, z), with conj u_k = u_{nu-k} and
-    conj z_j = z_{-j}: conj F on the whole circle is Hermitian, half holds
-    it, and one real inverse FFT, its halved axis the u axis, reads the
-    table from half alone.
+    is real, so it is the inverse 2-D DFT of conj F: along z conj(fft(F)) /
+    nz, ifft(conj F) to the bit with no conj copy of half, cropped to the
+    m_max + 1 columns kept; then along u, where each column is Hermitian as
+    F(conj u, conj z) = conj F(u, z) for a real law (conj u_k = u_{nu-k},
+    conj z_j = z_{-j}), one real inverse FFT reads it from half alone.
     """
     nu, r_u = u_circle(cfg.n_max)
-    coeffs = np.fft.irfftn(np.conj(half), s=(half.shape[1], nu), axes=(1, 0))
-    return coeffs[: cfg.n_max + 1, : cfg.m_max + 1] * (r_u ** -np.arange(cfg.n_max + 1))[:, None]
+    cols = np.fft.fft(half, axis=1)[:, : cfg.m_max + 1].conj()
+    cols /= half.shape[1]
+    coeffs = np.fft.irfft(cols, n=nu, axis=0)[: cfg.n_max + 1]
+    return coeffs * (r_u ** -np.arange(cfg.n_max + 1))[:, None]
 
 
 def _compute_tables(d, cfg: RunConfig, methods, cert) -> dict:

@@ -7,8 +7,8 @@ For a polynomial of degree below N there are no aliases, and the rule is
 Cauchy's formula exactly on every circle around 0, so the coefficient
 identity takes one transform on |w| = 1, of a length fixed by the degree.
 The outer radius b serves the Pollaczek route alone: its log kernel is no
-polynomial, but analytic on an annulus that A and s fix, where the
-trapezoid rule's error bound sets N (plus_part_nodes) for one transform.
+polynomial, but analytic on 1 <= |w| <= t_hi, which A and s fix; the
+trapezoid rule's error bound there sets N (plus_part_nodes) for one transform.
 
 The Pollaczek exponent is the Wiener-Hopf plus part of
 L(w) = ln(1 - u A(w)/w^s) on |w| = b: with L = sum_k c_k w^k there,
@@ -38,7 +38,7 @@ from ._complex import cexp, circle, circle_polyval, clog, next_pow2
 from .dist import IncrementDistribution, walk_pmfs
 
 OUTER_RADIUS_CAP = 8.0
-EDGE_POINTS = 32           # radii per side and round of the annulus edge search
+EDGE_POINTS = 32           # radii per round of the annulus edge search
 NODE_CAP = 1 << 20         # most nodes the plus part may take
 
 
@@ -59,19 +59,18 @@ class CircleQuadrature:
 
 @dataclass(frozen=True)
 class RadiusCertificate:
-    """Outer radius b in the annulus t_lo <= |w| <= t_hi on which
-    |u A(w) / w^s| <= q = (1 + v) / 2 for every |u| <= v."""
+    """Outer radius b = sqrt(t_hi), t_hi the outer edge of the annulus
+    1 <= |w| <= t_hi on which |u A(w) / w^s| <= q = (1 + v) / 2 for every |u| <= v."""
 
     b: float
     v: float
-    t_lo: float
     t_hi: float
 
     def __post_init__(self):
         if not 0.0 < self.v < 1.0:
             raise ValueError("v must lie in (0, 1)")
-        if not 0.0 < self.t_lo < 1.0 < self.b < self.t_hi:
-            raise ValueError(f"need 0 < t_lo < 1 < b < t_hi, got {(self.t_lo, self.b, self.t_hi)}")
+        if not 1.0 < self.b < self.t_hi:
+            raise ValueError(f"need 1 < b < t_hi, got {(self.b, self.t_hi)}")
 
 
 def _log_ratio(dist: IncrementDistribution, x: np.ndarray) -> np.ndarray:
@@ -89,49 +88,48 @@ def _log_ratio(dist: IncrementDistribution, x: np.ndarray) -> np.ndarray:
 
 
 def choose_outer_radius(dist: IncrementDistribution, v: float) -> RadiusCertificate:
-    """Outer radius b = sqrt(t_hi), t_lo < 1 < t_hi the edges of v A(t) / t^s <= q = (1 + v) / 2.
+    """Outer radius b = sqrt(t_hi), t_hi > 1 the outer edge of v A(t) / t^s <= q = (1 + v) / 2.
 
     A has nonnegative coefficients, so v A(t) / t^s bounds |u A(w) / w^s|
     on |w| = t for |u| <= v.  In log t the ratio is v e^f, f the convex
     _log_ratio with f = log A(1) = 0 at t = 1, so the radii where it is at
-    most q form one interval around 1, which plus_part_nodes reads.  The
-    edges are searched in x = log2 t within +-2 log2(CAP), CAP =
-    OUTER_RADIUS_CAP, so b <= CAP; an edge past that is taken there.  Both
-    sides take one _log_ratio call per round: the dyadic grid x = +-2
-    log2(CAP) 2^-k, k < EDGE_POINTS, then EDGE_POINTS even steps inside the
-    bracket that leaves.  An edge is the outermost radius that passed,
-    short of the true edge by at most a 32nd of its x (an upper edge too
-    near 1 for both grids leaves t_hi = 1, which the certificate rejects).
+    most q form one interval around 1, whose part 1 <= t <= t_hi alone
+    plus_part_nodes reads.  t_hi is searched in x = log2 t within 0 <= x <=
+    2 log2(CAP), CAP = OUTER_RADIUS_CAP, so b <= CAP, in two rounds of one
+    _log_ratio call: the dyadic grid x = 2 log2(CAP) 2^-k, k < EDGE_POINTS,
+    then EDGE_POINTS even steps inside the bracket that leaves.  t_hi is the
+    outermost radius that passed, short of the true edge by at most a 32nd
+    of its x (an edge too near 1 for both grids leaves t_hi = 1, which the
+    certificate rejects).
     """
     if not 0.0 < v < 1.0:
         raise ValueError("v must lie in (0, 1)")
     limit = math.log(0.5 * (1.0 + v) / v)
-    top = 2.0 * math.log2(OUTER_RADIUS_CAP)
-    inside, outside = np.zeros(2), np.array([-top, top])
+    inside, outside = 0.0, 2.0 * math.log2(OUTER_RADIUS_CAP)
     frac = 0.5 ** np.arange(EDGE_POINTS)
     for _ in range(2):
-        # per side, outermost first; by convexity the innermost ones pass
-        x = inside[:, None] + (outside - inside)[:, None] * frac
-        fits = _log_ratio(dist, math.log(2.0) * x.ravel()).reshape(x.shape) <= limit
-        k = np.where(fits.any(axis=1), fits.argmax(axis=1), EDGE_POINTS)
-        x = np.hstack([x, inside[:, None]])
-        inside, outside = x[[0, 1], k], x[[0, 1], np.maximum(k - 1, 0)]
+        # outermost first; by convexity the innermost ones pass
+        x = inside + (outside - inside) * frac
+        fits = _log_ratio(dist, math.log(2.0) * x) <= limit
+        k = int(fits.argmax()) if fits.any() else EDGE_POINTS
+        inside, outside = np.append(x, inside)[[k, max(k - 1, 0)]]
         frac = 1.0 - np.arange(EDGE_POINTS) / EDGE_POINTS
-    t_lo, t_hi = np.exp2(inside).tolist()
-    return RadiusCertificate(b=math.sqrt(t_hi), v=v, t_lo=t_lo, t_hi=t_hi)
+    t_hi = float(np.exp2(inside))
+    return RadiusCertificate(b=math.sqrt(t_hi), v=v, t_hi=t_hi)
 
 
 def plus_part_nodes(cert: RadiusCertificate, quad: CircleQuadrature) -> tuple:
     """Node count N of the plus part on |w| = b and its bound on |Delta E(z)|, |z| <= b.
 
-    On the certificate's annulus L(w) = ln(1 - u A(w)/w^s) is analytic
-    with |L| <= M = -ln(1 - q) = ln(2 / (1 - v)), as |ln(1 - x)| <=
-    -ln(1 - |x|).  So Cauchy's estimate on its two edges bounds the
-    Laurent coefficients scaled to |w| = b, a_k = c_k b^k, by
-    |a_k| <= M rho^|k|, rho = max(t_lo / b, b / t_hi).  N nodes give a_k,
-    0 < k < N/2, plus its aliases a_(k + jN), j != 0, and drop every
-    k >= N/2.  E(z) = sum_k a_k (b^-k - (z/b)^k), whose weights are at
-    most 2 for |z| <= b, is then off by at most 2 M rho^(N/2) / (1 - rho)
+    On the certificate's annulus 1 <= |w| <= t_hi, L(w) = ln(1 - u A(w)/w^s)
+    is analytic with |L| <= M = -ln(1 - q) = ln(2 / (1 - v)), as
+    |ln(1 - x)| <= -ln(1 - |x|).  Cauchy's estimate bounds its Laurent
+    coefficients c_k there: on |w| = t_hi, |c_k| <= M t_hi^-k for k > 0;
+    on |w| = 1, |c_k| <= M for k < 0.  Scaled to |w| = b, a_k = c_k b^k,
+    both read |a_k| <= M rho^|k|, rho = b / t_hi, as b^2 = t_hi.  N nodes
+    give a_k, 0 < k < N/2, plus its aliases a_(k + jN), j != 0, and drop
+    every k >= N/2.  E(z) = sum_k a_k (b^-k - (z/b)^k), whose weights are
+    at most 2 for |z| <= b, is then off by at most 2 M rho^(N/2) / (1 - rho)
     (the dropped tail) plus 4 M rho^(N/2 + 1) / ((1 - rho)(1 - rho^N))
     (the aliases), so by at most
 
@@ -143,7 +141,7 @@ def plus_part_nodes(cert: RadiusCertificate, quad: CircleQuadrature) -> tuple:
     raises QuadratureError.
     """
     big_m = math.log(2.0 / (1.0 - cert.v))
-    rho = max(cert.t_lo / cert.b, cert.b / cert.t_hi)
+    rho = cert.b / cert.t_hi
     nodes = 16
     while nodes <= NODE_CAP:
         bound = 6.0 * big_m * rho ** (nodes // 2) / ((1.0 - rho) * (1.0 - rho**nodes))

@@ -1,6 +1,7 @@
 import json
 import re
 import time
+import tracemalloc
 from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
@@ -243,13 +244,50 @@ class TestHalfCircle:
         evaluator = self._evaluators(d, self.CFG)[method]
         nu, r = cli.u_circle(self.CFG.n_max)
         nz = cli._z_nodes(d, self.CFG)
-        half = cli._invert_transform(evaluator(circle(r, nu)[: nu // 2 + 1], circle(1.0, nz)),
-                                     self.CFG)
+        block = evaluator(circle(r, nu)[: nu // 2 + 1], circle(1.0, nz))
+        half = cli._invert_transform(block, self.CFG)
+        assert np.array_equal(half, self._irfftn_reference(block, self.CFG))
         full = self._full_circle(evaluator, d, self.CFG)
         # 1e-14 on the circle |u| = 1/2: row n is rescaled by r^-n, so the
         # same sample-level agreement reads 1e-14 (1/2 / r)^n on |u| = r
         atol = 1e-14 * (0.5 / r) ** np.arange(self.CFG.n_max + 1)
         assert np.all(np.abs(half - full) <= atol[:, None])
+
+    @staticmethod
+    def _irfftn_reference(half, cfg):
+        # the 2-D real inverse FFT of conj(half), cropped after both axes
+        nu, r = cli.u_circle(cfg.n_max)
+        coeffs = np.fft.irfftn(np.conj(half), s=(half.shape[1], nu), axes=(1, 0))
+        return coeffs[: cfg.n_max + 1, : cfg.m_max + 1] * (r ** -np.arange(cfg.n_max + 1))[:, None]
+
+    @pytest.mark.parametrize("n_max,m_max,nz", [(6, 6, 16), (6, 40, 64), (12, 100, 128),
+                                                (8, 1023, 1024)])
+    def test_cells_match_the_2d_inverse(self, n_max, m_max, nz):
+        # the z axis first, cropped, then the u axis: bit-identical to one
+        # irfftn, since irfftn runs the same two transforms in that order
+        nu = cli.u_circle(n_max)[0]
+        rng = np.random.default_rng(n_max + m_max)
+        half = rng.standard_normal((nu // 2 + 1, nz)) + 1j * rng.standard_normal((nu // 2 + 1, nz))
+        cfg = cli.RunConfig(family="", s=1, n_max=n_max, m_max=m_max)
+        assert np.array_equal(cli._invert_transform(half, cfg), self._irfftn_reference(half, cfg))
+
+    def test_memory_beside_the_half_block(self):
+        # a half block of the shape geometric(0.05), s = 20 takes at n_max
+        # = 30 and full support, (65, 32768): the inversion holds one full
+        # block beside it (and the cropped columns), so its extra peak stays
+        # within twice the half block; a conj copy of half would add a third
+        cfg = cli.RunConfig(family="", s=1, n_max=30, m_max=18300)
+        shape = (cli.u_circle(cfg.n_max)[0] // 2 + 1, 32768)
+        rng = np.random.default_rng(30)
+        half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        tracemalloc.start()
+        try:
+            out = cli._invert_transform(half, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (31, 18301)
+        assert peak <= 2 * half.nbytes
 
 
 class TestIndependence:
@@ -330,7 +368,7 @@ class TestUCircle:
         result = cli.run(cli.parse_config(SIMPLE_CONFIG.replace("spitzer", "pollaczek")))
         env = json.loads(cli.render_json(result))["report"]["environment"]
         assert env["radius_certificate"]["v"] == r
-        assert set(env["radius_certificate"]) == {"b", "v", "t_lo", "t_hi", "nodes", "bound"}
+        assert set(env["radius_certificate"]) == {"b", "v", "t_hi", "nodes", "bound"}
 
 
 def _poisson_config(lam, s, methods, n_max, m_max=None):

@@ -46,40 +46,37 @@ def _exact_ratio(d, v, t):
 
 class TestChooseOuterRadius:
     @staticmethod
-    def _edges_are_tight(d, cert):
-        # v A(t)/t^s <= q at both edges; an edge short of the search's cap
+    def _edge_is_tight(d, cert):
+        # v A(t)/t^s <= q at the edge; an edge short of the search's cap
         # is short of the true one by at most a 32nd of its log2, so the
         # ratio reaches q within that
         q = 0.5 * (1.0 + cert.v)
         assert cert.b == np.sqrt(cert.t_hi)
-        for t, cap in ((cert.t_lo, 1.0 / 64.0), (cert.t_hi, 64.0)):
-            assert _exact_ratio(d, cert.v, t) <= q * (1.0 + 1e-14)
-            if t != cap:
-                assert _exact_ratio(d, cert.v, 2.0 ** (np.log2(t) * 32.0 / 31.0)) >= q
+        assert _exact_ratio(d, cert.v, cert.t_hi) <= q * (1.0 + 1e-14)
+        if cert.t_hi != 64.0:
+            assert _exact_ratio(d, cert.v, 2.0 ** (np.log2(cert.t_hi) * 32.0 / 31.0)) >= q
 
     def test_trivial_pgf_takes_large_radius(self):
         d = rw.make_family("deterministic", 1, c=0)  # A(z) = 1
         cert = rw.choose_outer_radius(d, 0.5)
         # v / t <= q = 0.75 from t = 2/3 on, up to the cap
         assert cert.b == 8.0 and cert.t_hi == 64.0
-        assert np.log2(2.0 / 3.0) <= np.log2(cert.t_lo) <= np.log2(2.0 / 3.0) * 31.0 / 32.0
-        self._edges_are_tight(d, cert)
+        self._edge_is_tight(d, cert)
 
     def test_constant_ratio_family(self, dists):
-        # A identically s makes v A(t)/t^s = v < q for every t: both edges
-        # sit at the search's caps
+        # A identically s makes v A(t)/t^s = v < q for every t: the edge
+        # sits at the search's cap
         d = dists["a-equals-s"]
         cert = rw.choose_outer_radius(d, 0.75)
-        assert (cert.t_lo, cert.b, cert.t_hi) == (1.0 / 64.0, 8.0, 64.0)
+        assert (cert.b, cert.t_hi) == (8.0, 64.0)
 
     def test_simple_walk_admissible(self, simple):
-        # v (1 + t^2) / (2 t) = q at t = q/v -+ sqrt((q/v)^2 - 1)
+        # v (1 + t^2) / (2 t) = q at t = q/v + sqrt((q/v)^2 - 1) above 1
         cert = rw.choose_outer_radius(simple, 0.5)
         ratio = 0.75 / 0.5
-        for t, exact in ((cert.t_lo, ratio - np.sqrt(ratio**2 - 1.0)),
-                         (cert.t_hi, ratio + np.sqrt(ratio**2 - 1.0))):
-            assert abs(np.log2(exact)) * 31.0 / 32.0 <= abs(np.log2(t)) <= abs(np.log2(exact))
-        self._edges_are_tight(simple, cert)
+        exact = ratio + np.sqrt(ratio**2 - 1.0)
+        assert abs(np.log2(exact)) * 31.0 / 32.0 <= abs(np.log2(cert.t_hi)) <= abs(np.log2(exact))
+        self._edge_is_tight(simple, cert)
 
     def test_respects_analyticity_radius(self, dists):
         # past 1 / (1 - p) = 2, the pole of the untruncated geometric pgf,
@@ -98,7 +95,7 @@ class TestChooseOuterRadius:
         cert = rw.choose_outer_radius(d, cli.u_circle(6)[1])
         assert 1.0 < cert.b < cert.t_hi < 1.0 / 0.95
         assert cert.b == pytest.approx(1.019, abs=1e-3)
-        self._edges_are_tight(d, cert)
+        self._edge_is_tight(d, cert)
 
     def test_inadmissible_v_rejected(self, simple):
         with pytest.raises(ValueError):
@@ -115,15 +112,32 @@ class TestChooseOuterRadius:
         # |w| = 1 as v nears 1, but it is never empty
         d = rw.make_family(family, s, **params)
         cert = rw.choose_outer_radius(d, cli.u_circle(n_max)[1])
-        assert cert.t_lo < 1.0 < cert.b < cert.t_hi
-        self._edges_are_tight(d, cert)
+        assert 1.0 < cert.b < cert.t_hi
+        self._edge_is_tight(d, cert)
 
     def test_zero_drift_radius_near_one(self, simple):
         # v = 0.99906 at n_max = 4096: v (1 + t^2) / (2 t) <= (1 + v) / 2
         # within |t - 1| of about sqrt(1 - v)
         cert = rw.choose_outer_radius(simple, cli.u_circle(4096)[1])
         assert 1.01 < cert.b < 1.02
-        self._edges_are_tight(simple, cert)
+        self._edge_is_tight(simple, cert)
+
+    @pytest.mark.parametrize("law", sorted(STANDARD) + ["geometric-0.05-20", "binomial-1000-450"])
+    def test_search_reads_only_the_outer_side(self, law, monkeypatch):
+        # plus_part_nodes reads only 1 <= t <= t_hi, so the search never
+        # evaluates the ratio inside the unit circle: two rounds, each one
+        # call on EDGE_POINTS radii at x = log t >= 0
+        seen = []
+        log_ratio = rw.contour._log_ratio
+
+        def spy(d, x):
+            seen.append(np.array(x))
+            return log_ratio(d, x)
+
+        monkeypatch.setattr(rw.contour, "_log_ratio", spy)
+        rw.choose_outer_radius(_law(law), cli.u_circle(6)[1])
+        assert [x.size for x in seen] == [rw.contour.EDGE_POINTS] * 2
+        assert all(np.all(x >= 0.0) for x in seen)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("s,p,b", [(714, 0.5, 2.65), (450, 0.1, 8.0)])
@@ -138,7 +152,7 @@ class TestChooseOuterRadius:
         at_b = v * np.exp(rw.contour._log_ratio(d, np.log([cert.b])))[0]
         assert 0.0 < at_b < 1e-40
         assert at_b == pytest.approx(_exact_ratio(d, v, cert.b), rel=1e-12)
-        self._edges_are_tight(d, cert)
+        self._edge_is_tight(d, cert)
 
 
 NEAR_CRITICAL = {
@@ -201,6 +215,22 @@ class TestPlusPartNodes:
             return (cert.b ** -k - (zs.reshape(-1, 1) / cert.b) ** k) @ a.T
 
         assert np.max(np.abs(exponent(nodes) - exponent(4 * nodes))) <= bound + 1e-15
+
+    @pytest.mark.parametrize("law", sorted(STANDARD) + sorted(NEAR_CRITICAL))
+    def test_scaled_coefficients_within_cauchy(self, law):
+        # the premise of rho = b / t_hi: on |w| = b the scaled Laurent
+        # coefficients a_k = c_k b^k of L obey |a_k| <= M rho^|k| for both
+        # signs of k, read from a 2^16-node FFT (aliases far below the
+        # bound) wherever the bound stands above roundoff
+        d = _law(law)
+        cert = rw.choose_outer_radius(d, self.V6)
+        n, k = 1 << 16, np.arange(1, 1 << 14)
+        us = self.V6 * np.exp(1j * np.pi * np.linspace(0.0, 1.0, 5))
+        a = np.fft.fft(clog(1.0 - us[:, None] * rw.contour._kernel_ratio(d, cert.b, n))) / n
+        bound = np.log(2.0 / (1.0 - self.V6)) * (cert.b / cert.t_hi) ** k
+        above = bound > 1e-13
+        for side in (a[:, k], a[:, n - k]):
+            assert np.all(np.abs(side[:, above]) <= bound[above])
 
 
 class TestPollaczekEval:
